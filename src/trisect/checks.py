@@ -1,17 +1,21 @@
 """Check registry behind the `verify` command.
 
-Each suite builder returns `Check` objects pinning a library computation
-against an independently stated expectation: a transcribed fixture, a
-worked value, or a second computation route.  The `paper_ref` field
-carries the claim-catalog id documented in the README; the `check_id`
-names the individual instance.
+Each suite is one table of rows `(check_id, paper_ref, expected, actual[,
+min_level])` pinning a library computation against an independently stated
+expectation: a transcribed fixture, a worked value, or a second computation
+route.  `actual` is called with the working torsion level; `expected` is a
+plain value, or a callable of the level where it reads a fixture or a shared
+record, so building the checks loads no fixture and runs no library
+computation.  The `paper_ref` field carries the claim-catalog id documented
+in the README; the `check_id` names the individual instance.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import astuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .covers import (FeClass, SurfaceInvariants, bicanonical_degree_options,
@@ -22,9 +26,9 @@ from .covers import (FeClass, SurfaceInvariants, bicanonical_degree_options,
                      verify_branch_table, verify_cover_constraints)
 from .curves import fulton_mult, linear_form, parse_form, ProjPoint
 from .field import Eis, W, parse_eis
-from .heisenberg import (NONZERO_CHARS, decompose_degree3,
-                         printed_eigencubics, triangles,
-                         verify_pencil_pairs, verify_vertex_containment)
+from .heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, decompose_degree3,
+                         printed_eigencubics, verify_pencil_pairs,
+                         verify_vertex_containment)
 from .report import SUITES, Check, run_checks
 from .rings import (E3_BOUNDARY, E3_CANONICAL, FIBRE_CLASS_CURVE,
                     TWO_TORSION_LINE, albanese_degrees, canonical_relations,
@@ -49,39 +53,61 @@ __all__ = ["build_checks", "run_verify"]
 CANONICAL_IMAGE_E2 = (4, -1)
 
 
-def _value(expected, actual_fn):
-    """Closure factory: a level-independent check body."""
-    return lambda level: (expected, actual_fn())
+def _run(expected, actual, level):
+    """Body of every check: the (expected, actual) pair at the level."""
+    return (expected(level) if callable(expected) else expected), actual(level)
+
+
+def _checks(suite: str, rows) -> list:
+    """Turn the rows of one suite's table into checks."""
+    return [Check(suite, check_id, paper_ref, partial(_run, expected, actual),
+                  *min_level)
+            for check_id, paper_ref, expected, actual, *min_level in rows]
+
+
+def _certificate(cert) -> tuple:
+    """The compared part of an obstruction certificate: its pattern, the two
+    clashing values and the derived values."""
+    return cert.pattern, (cert.conflict[0][1], cert.conflict[1][1]), cert.derived
+
+
+def _step(steps, index: int, name: str, level):
+    """Value of the named step of a derivation, or a note that the steps
+    are no longer in the stated order."""
+    step_name, value = steps()[index]
+    if step_name != name:
+        return f"step order changed: {step_name}"
+    return value
 
 
 # ---------------------------------------------------------------------------
 # field
 # ---------------------------------------------------------------------------
 
-def field_checks() -> list:
+def _field_rows() -> tuple:
     x, y = Eis(2, -3), Eis(-1, 4)
     z = Eis(Fraction(-3, 2), 7)
-    return [
-        Check("field", "defining-relation", "eisenstein-arithmetic",
-              _value("0", lambda: str(W * W + W + Eis(1)))),
-        Check("field", "cube-of-generator", "eisenstein-arithmetic",
-              _value("1", lambda: str(W ** 3))),
-        Check("field", "norm-multiplicative", "eisenstein-arithmetic",
-              _value(x.norm() * y.norm(), lambda: (x * y).norm())),
-        Check("field", "field-inverse", "eisenstein-arithmetic",
-              _value("1", lambda: str(z * z.inverse()))),
-        Check("field", "conjugation-ring-map", "eisenstein-arithmetic",
-              _value(x.conj() * y.conj(), lambda: (x * y).conj())),
-        Check("field", "parse-round-trip", "eisenstein-arithmetic",
-              _value(z, lambda: parse_eis(str(z)))),
-    ]
+    return (
+        ("defining-relation", "eisenstein-arithmetic", "0",
+         lambda _: str(W * W + W + Eis(1))),
+        ("cube-of-generator", "eisenstein-arithmetic", "1",
+         lambda _: str(W ** 3)),
+        ("norm-multiplicative", "eisenstein-arithmetic", x.norm() * y.norm(),
+         lambda _: (x * y).norm()),
+        ("field-inverse", "eisenstein-arithmetic", "1",
+         lambda _: str(z * z.inverse())),
+        ("conjugation-ring-map", "eisenstein-arithmetic", x.conj() * y.conj(),
+         lambda _: (x * y).conj()),
+        ("parse-round-trip", "eisenstein-arithmetic", z,
+         lambda _: parse_eis(str(z))),
+    )
 
 
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------
 
-def curves_checks() -> list:
+def _curves_rows() -> tuple:
     x0 = linear_form(1, 0, 0)
     x1 = linear_form(0, 1, 0)
     x2 = linear_form(0, 0, 1)
@@ -90,22 +116,20 @@ def curves_checks() -> list:
     conic2 = parse_form("x0*x2 + (-1)*x1^2 + x0^2")
     cusp = parse_form("x1^2*x2 + (-1)*x0^3")
     node = parse_form("x1^2*x2 + (-1)*x0^3 + (-1)*x0^2*x2")
-    return [
-        Check("curves", "transversal-lines", "local-multiplicity",
-              _value(1, lambda: fulton_mult(x0, x1, origin))),
-        Check("curves", "tangent-conic", "local-multiplicity",
-              _value(2, lambda: fulton_mult(conic, x0, origin))),
-        Check("curves", "cusp-tangent", "local-multiplicity",
-              _value(3, lambda: fulton_mult(cusp, x1, origin))),
-        Check("curves", "node-branches", "local-multiplicity",
-              _value(2, lambda: fulton_mult(node, x1, origin))),
-        Check("curves", "total-contact-conics", "local-multiplicity",
-              _value(4, lambda: fulton_mult(conic, conic2, origin))),
-        Check("curves", "shared-component", "local-multiplicity",
-              _value("INFINITE",
-                     lambda: str(fulton_mult(x0 * x1, x0 * x2,
-                                             ProjPoint(0, 1, 1))))),
-    ]
+    return (
+        ("transversal-lines", "local-multiplicity", 1,
+         lambda _: fulton_mult(x0, x1, origin)),
+        ("tangent-conic", "local-multiplicity", 2,
+         lambda _: fulton_mult(conic, x0, origin)),
+        ("cusp-tangent", "local-multiplicity", 3,
+         lambda _: fulton_mult(cusp, x1, origin)),
+        ("node-branches", "local-multiplicity", 2,
+         lambda _: fulton_mult(node, x1, origin)),
+        ("total-contact-conics", "local-multiplicity", 4,
+         lambda _: fulton_mult(conic, conic2, origin)),
+        ("shared-component", "local-multiplicity", "INFINITE",
+         lambda _: str(fulton_mult(x0 * x1, x0 * x2, ProjPoint(0, 1, 1)))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +140,19 @@ def _cid(char) -> str:
     return f"{char[0]}{char[1]}"
 
 
-@lru_cache(maxsize=None)
-def _containment_records() -> dict:
-    return {(c.cubic, c.triangle): c for c in verify_vertex_containment()}
-
-
-@lru_cache(maxsize=None)
-def _pair_records() -> dict:
-    return {c.labels: c for c in verify_pencil_pairs()}
-
-
 def _containment_text(contained: bool, mults) -> str:
     if contained:
         return f"contained with local multiplicities {mults}"
     return "not contained"
 
 
-def _containment_run(char, tri_label):
-    def run(level):
-        record = _containment_records()[(char, tri_label)]
-        expected = _containment_text(record.expected_contained, (3, 3, 3))
-        actual = _containment_text(record.contained, record.vertex_mults)
-        return expected, actual
-    return run
+@lru_cache(maxsize=None)
+def _vertex_texts() -> dict:
+    """(cubic, triangle) -> (expected, actual) text of each containment."""
+    return {(c.cubic, c.triangle):
+            (_containment_text(c.expected_contained, (3, 3, 3)),
+             _containment_text(c.contained, c.vertex_mults))
+            for c in verify_vertex_containment()}
 
 
 def _pattern_text(entries, total) -> str:
@@ -146,10 +160,11 @@ def _pattern_text(entries, total) -> str:
     return f"{parts} ; total {total}"
 
 
-def _pair_run(labels):
-    def run(level):
-        record = _pair_records()[labels]
-        expected = _pattern_text(record.expected, record.bezout)
+@lru_cache(maxsize=None)
+def _pair_texts() -> dict:
+    """Labels -> (expected, actual) intersection pattern of each pair."""
+    out = {}
+    for record in verify_pencil_pairs():
         observed = []
         for cls, mults in sorted(record.actual):
             if mults == (0, 0, 0):
@@ -158,42 +173,37 @@ def _pair_run(labels):
                 observed.append((cls, mults[0]))
             else:
                 observed.append((cls, str(mults)))
-        return expected, _pattern_text(observed, record.total)
-    return run
+        out[record.labels] = (_pattern_text(record.expected, record.bezout),
+                              _pattern_text(observed, record.total))
+    return out
 
 
-def heisenberg_checks() -> list:
-    checks = []
-    for char in NONZERO_CHARS:
-        def eigen_run(level, char=char):
-            return (printed_eigencubics()[char][0].monic(),
-                    decompose_degree3()[char][0])
-        checks.append(Check("heisenberg", f"eigencubic-{_cid(char)}",
-                            "eigen-decomposition", eigen_run))
+def _side(texts, key, index: int, level):
+    """Expected (index 0) or actual (index 1) entry of a cached family."""
+    return texts()[key][index]
 
-    def invariant_run(level):
-        printed = sorted(str(f.monic()) for f in printed_eigencubics()[(0, 0)])
-        computed = sorted(str(f) for f in decompose_degree3()[(0, 0)])
-        return printed, computed
-    checks.append(Check("heisenberg", "invariant-pencil",
-                        "eigen-decomposition", invariant_run))
-    checks.append(Check("heisenberg", "character-dimensions",
-                        "eigen-decomposition",
-                        _value(10, lambda: sum(len(v) for v in
-                                               decompose_degree3().values()))))
 
-    tri_labels = tuple(t.label for t in triangles())
-    for char in NONZERO_CHARS:
-        for tri_label in tri_labels:
-            checks.append(Check(
-                "heisenberg", f"vertex-{_cid(char)}-tri-{_cid(tri_label)}",
-                "vertex-containment", _containment_run(char, tri_label)))
-
-    for c1, c2 in combinations(NONZERO_CHARS, 2):
-        checks.append(Check(
-            "heisenberg", f"pair-{_cid(c1)}-{_cid(c2)}",
-            "pencil-pair-intersections", _pair_run((c1, c2))))
-    return checks
+def _heisenberg_rows() -> list:
+    rows = [(f"eigencubic-{_cid(char)}", "eigen-decomposition",
+             partial(lambda c, _: printed_eigencubics()[c][0].monic(), char),
+             partial(lambda c, _: decompose_degree3()[c][0], char))
+            for char in NONZERO_CHARS]
+    rows += [
+        ("invariant-pencil", "eigen-decomposition",
+         lambda _: sorted(str(f.monic()) for f in printed_eigencubics()[(0, 0)]),
+         lambda _: sorted(str(f) for f in decompose_degree3()[(0, 0)])),
+        ("character-dimensions", "eigen-decomposition", 10,
+         lambda _: sum(len(v) for v in decompose_degree3().values())),
+    ]
+    rows += [(f"vertex-{_cid(char)}-tri-{_cid(tri)}", "vertex-containment",
+              partial(_side, _vertex_texts, (char, tri), 0),
+              partial(_side, _vertex_texts, (char, tri), 1))
+             for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
+    rows += [(f"pair-{_cid(c1)}-{_cid(c2)}", "pencil-pair-intersections",
+              partial(_side, _pair_texts, (c1, c2), 0),
+              partial(_side, _pair_texts, (c1, c2), 1))
+             for c1, c2 in combinations(NONZERO_CHARS, 2)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -209,260 +219,208 @@ def _point_strings(triples) -> list:
     return sorted(str(t) for t in triples)
 
 
-def _table_run(p, q):
-    def run(level):
-        expected = printed_intersection_table()[frozenset((p, q))]
-        return expected, fibre_intersection_rule(p, q)
-    return run
-
-
-def torsion_checks() -> list:
-    checks = [
-        Check("torsion", "solver-triple", "translation-solver",
-              _value(9, lambda: len(solve_linear(3, ETA[1], 36)))),
-        Check("torsion", "solver-double", "translation-solver",
-              _value(4, lambda: len(solve_linear(2, XI[1], 24)))),
-    ]
-
+def _torsion_rows() -> list:
     sample = Triple.of(XI[1], ETA[2], XI[1] + ETA[2])
-
-    def membership_run(level):
-        observed = (member(locus_D(XI[1]), sample),
+    rows = [
+        ("solver-triple", "translation-solver", 9,
+         lambda _: len(solve_linear(3, ETA[1], 36))),
+        ("solver-double", "translation-solver", 4,
+         lambda _: len(solve_linear(2, XI[1], 24))),
+        ("surface-membership", "locus-membership", (True, False, True, True),
+         lambda _: (member(locus_D(XI[1]), sample),
                     member(locus_D(XI[2]), sample),
                     member(locus_F(2 * XI[1] + 2 * ETA[2]), sample),
-                    member(locus_Y(), sample))
-        return (True, False, True, True), observed
-    checks.append(Check("torsion", "surface-membership", "locus-membership",
-                        membership_run))
-
-    containments = (
-        ("contain-translate-sum", locus_F(XI[1]), locus_A(1), True),
-        ("contain-translate-coordinate", locus_D(XI[1]), locus_A(1), True),
-        ("contain-diagonal-line", locus_Y(), locus_line(1), True),
-        ("contain-diagonal-not-curve", locus_Y(), locus_Gamma(), False),
-        ("contain-fibre-not-trisection", locus_F(ORIGIN), locus_N(ETA[1]),
-         False),
-    )
-    for check_id, surface, curve, expected in containments:
-        checks.append(Check(
-            "torsion", check_id, "locus-containment",
-            _value(expected,
-                   lambda surface=surface, curve=curve:
-                   contains_locus(surface, curve))))
-
-    counts = (
-        ("count-trisection-coordinate", locus_N(ETA[1]), locus_D(ORIGIN), 1),
-        ("count-trisection-fibre", locus_N(ETA[1]), locus_F(ORIGIN), 3),
-        ("count-line-coordinate", locus_line(1), locus_D(ORIGIN), 1),
-        ("count-line-fibre", locus_line(1), locus_F(ORIGIN), 2),
-    )
-    for check_id, c1, c2, expected in counts:
-        def count_run(level, c1=c1, c2=c2, expected=expected):
-            return expected, len(intersect_loci(c1, c2, level))
-        checks.append(Check("torsion", check_id, "section-counts", count_run))
-
-    # the two worked rule cells, stated directly
-    checks.append(Check(
-        "torsion", "rule-antipodal", "fibre-meeting-rule",
-        _value(tuple((rep, 1) for rep in (ETA[2], ETA[3], ETA[4])),
-               lambda: fibre_intersection_rule(ETA[1], -ETA[1]))))
-    checks.append(Check(
-        "torsion", "rule-generic", "fibre-meeting-rule",
-        _value(tuple(sorted(((ETA[3], 1), (ETA[4], 2)))),
-               lambda: fibre_intersection_rule(ETA[1], ETA[2]))))
-
-    for i, p in enumerate(THREE_TORSION):
-        for q in THREE_TORSION[i + 1:]:
-            pa, pb = p.coords_at(3)
-            qa, qb = q.coords_at(3)
-            checks.append(Check(
-                "torsion", f"table-{pa}{pb}x{qa}{qb}", "fibre-table",
-                _table_run(p, q), min_level=24))
-
-    def base_points_run(level):
-        return (_point_strings(expected_base_points()),
-                _point_strings(_base_report(level).base_points))
-    checks.append(Check("torsion", "base-points", "base-point-set",
-                        base_points_run, min_level=24))
-
-    def boundary_terms_run(level):
-        report = _base_report(level)
-        return (56, 0), (len(report.candidate_b_terms),
-                         sum(len(t.triples) for t in report.candidate_b_terms))
-    checks.append(Check("torsion", "boundary-terms-empty", "base-point-set",
-                        boundary_terms_run, min_level=24))
-
-    def surviving_run(level):
-        return 4, len(_base_report(level).nonempty_terms)
-    checks.append(Check("torsion", "surviving-terms", "base-point-set",
-                        surviving_run, min_level=24))
-
-    def stability_run(level):
-        return (_point_strings(_base_report(level).base_points),
-                _point_strings(_base_report(2 * level).base_points))
-    checks.append(Check("torsion", "level-stability", "base-point-set",
-                        stability_run, min_level=24))
-    return checks
+                    member(locus_Y(), sample))),
+        ("contain-translate-sum", "locus-containment", True,
+         lambda _: contains_locus(locus_F(XI[1]), locus_A(1))),
+        ("contain-translate-coordinate", "locus-containment", True,
+         lambda _: contains_locus(locus_D(XI[1]), locus_A(1))),
+        ("contain-diagonal-line", "locus-containment", True,
+         lambda _: contains_locus(locus_Y(), locus_line(1))),
+        ("contain-diagonal-not-curve", "locus-containment", False,
+         lambda _: contains_locus(locus_Y(), locus_Gamma())),
+        ("contain-fibre-not-trisection", "locus-containment", False,
+         lambda _: contains_locus(locus_F(ORIGIN), locus_N(ETA[1]))),
+        ("count-trisection-coordinate", "section-counts", 1,
+         lambda level: len(intersect_loci(locus_N(ETA[1]), locus_D(ORIGIN),
+                                          level))),
+        ("count-trisection-fibre", "section-counts", 3,
+         lambda level: len(intersect_loci(locus_N(ETA[1]), locus_F(ORIGIN),
+                                          level))),
+        ("count-line-coordinate", "section-counts", 1,
+         lambda level: len(intersect_loci(locus_line(1), locus_D(ORIGIN),
+                                          level))),
+        ("count-line-fibre", "section-counts", 2,
+         lambda level: len(intersect_loci(locus_line(1), locus_F(ORIGIN),
+                                          level))),
+        # the two worked rule cells, stated directly
+        ("rule-antipodal", "fibre-meeting-rule",
+         tuple((rep, 1) for rep in (ETA[2], ETA[3], ETA[4])),
+         lambda _: fibre_intersection_rule(ETA[1], -ETA[1])),
+        ("rule-generic", "fibre-meeting-rule",
+         tuple(sorted(((ETA[3], 1), (ETA[4], 2)))),
+         lambda _: fibre_intersection_rule(ETA[1], ETA[2])),
+    ]
+    rows += [("table-{}{}x{}{}".format(*p.coords_at(3), *q.coords_at(3)),
+              "fibre-table",
+              partial(lambda cell, _: printed_intersection_table()[cell],
+                      frozenset((p, q))),
+              partial(lambda p, q, _: fibre_intersection_rule(p, q), p, q), 24)
+             for i, p in enumerate(THREE_TORSION) for q in THREE_TORSION[i + 1:]]
+    rows += [
+        ("base-points", "base-point-set",
+         lambda _: _point_strings(expected_base_points()),
+         lambda level: _point_strings(_base_report(level).base_points), 24),
+        ("boundary-terms-empty", "base-point-set", (56, 0),
+         lambda level: (len(_base_report(level).candidate_b_terms),
+                        sum(len(t.triples)
+                            for t in _base_report(level).candidate_b_terms)),
+         24),
+        ("surviving-terms", "base-point-set", 4,
+         lambda level: len(_base_report(level).nonempty_terms), 24),
+        ("level-stability", "base-point-set",
+         lambda level: _point_strings(_base_report(level).base_points),
+         lambda level: _point_strings(_base_report(2 * level).base_points), 24),
+    ]
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # ring
 # ---------------------------------------------------------------------------
 
-def ring_checks() -> list:
+_SIGNATURE_EXPECTED = {
+    "1a": (((2, -2), (1, -3)), ((0, 1, 4),), (1, 0)),
+    "1b": (((2, 0), (1, -1)), ((0, 1, 2),), (2, 1)),
+    "2a": (((1, -1), (1, -1), (1, -1)),
+           ((0, 1, 1), (0, 2, 1), (1, 2, 1)), (1, 1, 1)),
+    "2b": (((1, -1), (1, -1), (1, -3)),
+           ((0, 1, 0), (0, 2, 2), (1, 2, 2)), (1, 1, 0)),
+}
+
+_ALBANESE_EXPECTED = {"1a": (4, 0), "1b": (3, 1),
+                      "2a": (2, 1, 1), "2b": (0, 2, 2)}
+
+
+def _splitting_signature(label, level) -> tuple:
+    found = {s.label: s for s in enumerate_splittings()}[label]
+    return found.components, found.pairwise, found.genera
+
+
+def _class_sum(label, level) -> str:
+    rows = splitting_image_classes()[label]
+    return format_e2_class(tuple(sum(cls[i] for _, cls in rows) for i in (0, 1)))
+
+
+def _genera_preserved(level) -> bool:
+    by_label = {s.label: s for s in enumerate_splittings()}
+    return all(sorted(genus_e2(cls) for _, cls in rows) ==
+               sorted(by_label[label].genera)
+               for label, rows in splitting_image_classes().items())
+
+
+def _triple_component(level) -> tuple:
+    pattern, conflict, derived = _certificate(certificate_triple_component())
+    return pattern, conflict, derived[0][1]
+
+
+def _ring_rows() -> list:
     d, f = (1, 0), (0, 1)
-    boundary = E3_BOUNDARY
-    checks = [
-        Check("ring", "triple-monomials", "triple-products",
-              _value((1, 1, 0, 0),
-                     lambda: (triple_product_e3(d, d, d),
-                              triple_product_e3(d, d, f),
-                              triple_product_e3(d, f, f),
-                              triple_product_e3(f, f, f)))),
-        Check("ring", "canonical-cube", "triple-products",
-              _value(0, lambda: triple_product_e3(
-                  E3_CANONICAL, E3_CANONICAL, E3_CANONICAL))),
-        Check("ring", "boundary-cube", "triple-products",
-              _value(16, lambda: triple_product_e3(
-                  boundary, boundary, boundary))),
-        Check("ring", "chi-boundary", "twisted-euler",
-              _value(5, lambda: chi_symmetric_power(3, 4, -1))),
-        Check("ring", "chi-adjoint", "twisted-euler",
-              _value(0, lambda: chi_symmetric_power(3, 3, -1))),
-        Check("ring", "chi-square-boundary", "twisted-euler",
-              _value(5, lambda: chi_symmetric_power(2, 4, -1))),
-        Check("ring", "case-positive", "cohomology-split",
-              _value("ONLY_H0", lambda: cohomology_case(3, 4, -1).name)),
-        Check("ring", "case-torsion", "cohomology-split",
-              _value("TORSION_DEPENDENT",
-                     lambda: cohomology_case(3, 3, -1).name)),
-        Check("ring", "case-interior", "cohomology-split",
-              _value("ALL_VANISH", lambda: cohomology_case(3, -2, 0).name)),
-        Check("ring", "case-deep", "cohomology-split",
-              _value("ONLY_HN", lambda: cohomology_case(3, -4, 1).name)),
-        Check("ring", "fibre-curve-pairings", "curve-pairings",
-              _value((0, 1),
-                     lambda: (FIBRE_CLASS_CURVE.pair(E3_CANONICAL),
-                              FIBRE_CLASS_CURVE.pair(E3_BOUNDARY)))),
-        Check("ring", "torsion-line-pairings", "curve-pairings",
-              _value((-1, 2),
-                     lambda: (TWO_TORSION_LINE.pair(E3_CANONICAL),
-                              TWO_TORSION_LINE.pair(E3_BOUNDARY)))),
-        Check("ring", "canonical-model-numbers", "curve-pairings",
-              _value((4, 5), lambda: (genus_e2(CANONICAL_IMAGE_E2),
-                                      chi_e2(CANONICAL_IMAGE_E2)))),
-        Check("ring", "noether-main", "noether-formula",
-              _value((1, 9, 9), lambda: noether_invariants(1, 1, 3))),
-        Check("ring", "noether-plane", "noether-formula",
-              _value((1, 12, 10), lambda: noether_invariants(0, 0, 0))),
-        Check("ring", "noether-irregular", "noether-formula",
-              _value((2, 18, 18), lambda: noether_invariants(3, 2, 6))),
-        Check("ring", "splitting-labels", "canonical-splittings",
-              _value(("1a", "1b", "2a", "2b"),
-                     lambda: tuple(s.label for s in enumerate_splittings()))),
+    rows = [
+        ("triple-monomials", "triple-products", (1, 1, 0, 0),
+         lambda _: (triple_product_e3(d, d, d), triple_product_e3(d, d, f),
+                    triple_product_e3(d, f, f), triple_product_e3(f, f, f))),
+        ("canonical-cube", "triple-products", 0,
+         lambda _: triple_product_e3(E3_CANONICAL, E3_CANONICAL, E3_CANONICAL)),
+        ("boundary-cube", "triple-products", 16,
+         lambda _: triple_product_e3(E3_BOUNDARY, E3_BOUNDARY, E3_BOUNDARY)),
+        ("chi-boundary", "twisted-euler", 5,
+         lambda _: chi_symmetric_power(3, 4, -1)),
+        ("chi-adjoint", "twisted-euler", 0,
+         lambda _: chi_symmetric_power(3, 3, -1)),
+        ("chi-square-boundary", "twisted-euler", 5,
+         lambda _: chi_symmetric_power(2, 4, -1)),
+        ("case-positive", "cohomology-split", "ONLY_H0",
+         lambda _: cohomology_case(3, 4, -1).name),
+        ("case-torsion", "cohomology-split", "TORSION_DEPENDENT",
+         lambda _: cohomology_case(3, 3, -1).name),
+        ("case-interior", "cohomology-split", "ALL_VANISH",
+         lambda _: cohomology_case(3, -2, 0).name),
+        ("case-deep", "cohomology-split", "ONLY_HN",
+         lambda _: cohomology_case(3, -4, 1).name),
+        ("fibre-curve-pairings", "curve-pairings", (0, 1),
+         lambda _: (FIBRE_CLASS_CURVE.pair(E3_CANONICAL),
+                    FIBRE_CLASS_CURVE.pair(E3_BOUNDARY))),
+        ("torsion-line-pairings", "curve-pairings", (-1, 2),
+         lambda _: (TWO_TORSION_LINE.pair(E3_CANONICAL),
+                    TWO_TORSION_LINE.pair(E3_BOUNDARY))),
+        ("canonical-model-numbers", "curve-pairings", (4, 5),
+         lambda _: (genus_e2(CANONICAL_IMAGE_E2), chi_e2(CANONICAL_IMAGE_E2))),
+        ("noether-main", "noether-formula", (1, 9, 9),
+         lambda _: noether_invariants(1, 1, 3)),
+        ("noether-plane", "noether-formula", (1, 12, 10),
+         lambda _: noether_invariants(0, 0, 0)),
+        ("noether-irregular", "noether-formula", (2, 18, 18),
+         lambda _: noether_invariants(3, 2, 6)),
+        ("splitting-labels", "canonical-splittings", ("1a", "1b", "2a", "2b"),
+         lambda _: tuple(s.label for s in enumerate_splittings())),
     ]
-
-    signature_expected = {
-        "1a": (((2, -2), (1, -3)), ((0, 1, 4),), (1, 0)),
-        "1b": (((2, 0), (1, -1)), ((0, 1, 2),), (2, 1)),
-        "2a": (((1, -1), (1, -1), (1, -1)),
-               ((0, 1, 1), (0, 2, 1), (1, 2, 1)), (1, 1, 1)),
-        "2b": (((1, -1), (1, -1), (1, -3)),
-               ((0, 1, 0), (0, 2, 2), (1, 2, 2)), (1, 1, 0)),
-    }
-    for label, expected in signature_expected.items():
-        def signature_run(level, label=label, expected=expected):
-            by_label = {s.label: s for s in enumerate_splittings()}
-            s = by_label[label]
-            return expected, (s.components, s.pairwise, s.genera)
-        checks.append(Check("ring", f"splitting-{label}",
-                            "canonical-splittings", signature_run))
-
-    checks.append(Check(
-        "ring", "splitting-window-stability", "canonical-splittings",
-        _value(tuple(s.label for s in enumerate_splittings()),
-               lambda: tuple(s.label for s in enumerate_splittings(-24, 8)))))
-
-    checks.append(Check(
-        "ring", "exclusion-triple-component", "non-reduced-exclusions",
-        _value(("3A", (3, 9), Fraction(1, 3)),
-               lambda: (certificate_triple_component().pattern,
-                        (certificate_triple_component().conflict[0][1],
-                         certificate_triple_component().conflict[1][1]),
-                        certificate_triple_component().derived[0][1]))))
-
-    double_derived = (("K.A", 1), ("K.B", 1), ("A.A", -1), ("p_a(2A)", 0),
-                      ("B.B", -1), ("p_a(B)", 1), ("A.B", 2))
-
-    def double_run(level):
-        cert = certificate_double_component()
-        return (("2A+B", (1, 2), double_derived),
-                (cert.pattern,
-                 (cert.conflict[0][1], cert.conflict[1][1]), cert.derived))
-    checks.append(Check("ring", "exclusion-double-component",
-                        "non-reduced-exclusions", double_run))
-
-    albanese_expected = {"1a": (4, 0), "1b": (3, 1),
-                         "2a": (2, 1, 1), "2b": (0, 2, 2)}
-    for label, expected in albanese_expected.items():
-        checks.append(Check(
-            "ring", f"albanese-{label}", "component-images",
-            _value(expected,
-                   lambda label=label: albanese_degrees(label))))
-
-    for label in ("1a", "1b", "2a", "2b"):
-        def sum_run(level, label=label):
-            rows = splitting_image_classes()[label]
-            total = tuple(sum(cls[i] for _, cls in rows) for i in (0, 1))
-            return format_e2_class(CANONICAL_IMAGE_E2), format_e2_class(total)
-        checks.append(Check("ring", f"class-sum-{label}",
-                            "component-images", sum_run))
-
-    def genera_run(level):
-        by_label = {s.label: s for s in enumerate_splittings()}
-        preserved = all(
-            sorted(genus_e2(cls) for _, cls in rows) ==
-            sorted(by_label[label].genera)
-            for label, rows in splitting_image_classes().items())
-        return True, preserved
-    checks.append(Check("ring", "genera-preserved", "component-images",
-                        genera_run))
-    return checks
+    rows += [(f"splitting-{label}", "canonical-splittings", expected,
+              partial(_splitting_signature, label))
+             for label, expected in _SIGNATURE_EXPECTED.items()]
+    rows += [
+        ("splitting-window-stability", "canonical-splittings",
+         lambda _: tuple(s.label for s in enumerate_splittings()),
+         lambda _: tuple(s.label for s in enumerate_splittings(-24, 8))),
+        ("exclusion-triple-component", "non-reduced-exclusions",
+         ("3A", (3, 9), Fraction(1, 3)), _triple_component),
+        ("exclusion-double-component", "non-reduced-exclusions",
+         ("2A+B", (1, 2), (("K.A", 1), ("K.B", 1), ("A.A", -1), ("p_a(2A)", 0),
+                           ("B.B", -1), ("p_a(B)", 1), ("A.B", 2))),
+         lambda _: _certificate(certificate_double_component())),
+    ]
+    rows += [(f"albanese-{label}", "component-images", expected,
+              partial(lambda label, _: albanese_degrees(label), label))
+             for label, expected in _ALBANESE_EXPECTED.items()]
+    rows += [(f"class-sum-{label}", "component-images",
+              format_e2_class(CANONICAL_IMAGE_E2), partial(_class_sum, label))
+             for label in ("1a", "1b", "2a", "2b")]
+    rows.append(("genera-preserved", "component-images", True,
+                 _genera_preserved))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # lattice
 # ---------------------------------------------------------------------------
 
-def lattice_checks() -> list:
-    checks = [
-        Check("lattice", "rank-extended", "lattice-ranks",
-              _value(10, lambda: lattice_rank(gram_matrix("gram10")[1]))),
-        Check("lattice", "rank-base", "lattice-ranks",
-              _value(9, lambda: lattice_rank(gram_matrix("gram9")[1]))),
+def _gram_spots(level) -> tuple:
+    order9, rows9 = gram_matrix("gram9")
+    order10, rows10 = gram_matrix("gram10")
+    k, g = order9.index("K"), order9.index("G")
+    gamma, g10 = order10.index("Gamma"), order10.index("G")
+    return (rows9[k][k], rows9[k][g], rows9[g][g],
+            rows10[gamma][gamma], rows10[gamma][g10])
+
+
+def _lattice_rows() -> list:
+    rows = [
+        ("rank-extended", "lattice-ranks", 10,
+         lambda _: lattice_rank(gram_matrix("gram10")[1])),
+        ("rank-base", "lattice-ranks", 9,
+         lambda _: lattice_rank(gram_matrix("gram9")[1])),
     ]
-    for index, (name, lhs, rhs) in enumerate(canonical_relations(), start=1):
-        def relation_run(level, lhs=lhs, rhs=rhs):
-            return (0,) * 9, relation_residual(lhs, rhs)
-        checks.append(Check("lattice", f"relation-{index}",
-                            "divisor-relations", relation_run))
-
-    def derived_run(level):
-        derived = derive_albanese_genus2_pairing()
-        return (4, (0, 0, 0)), (derived.value, derived.residuals)
-    checks.append(Check("lattice", "derived-pairing", "albanese-pairing",
-                        derived_run))
-
-    def spots_run(level):
-        order9, rows9 = gram_matrix("gram9")
-        order10, rows10 = gram_matrix("gram10")
-        k, g = order9.index("K"), order9.index("G")
-        gamma, g10 = order10.index("Gamma"), order10.index("G")
-        return ((3, 2, 0, -2, 1),
-                (rows9[k][k], rows9[k][g], rows9[g][g],
-                 rows10[gamma][gamma], rows10[gamma][g10]))
-    checks.append(Check("lattice", "gram-spots", "lattice-ranks", spots_run))
-    return checks
+    # canonical_relations() states three relations
+    rows += [(f"relation-{index + 1}", "divisor-relations", (0,) * 9,
+              partial(lambda i, _: relation_residual(*canonical_relations()[i][1:]),
+                      index))
+             for index in range(3)]
+    rows += [
+        ("derived-pairing", "albanese-pairing", (4, (0, 0, 0)),
+         lambda _: astuple(derive_albanese_genus2_pairing())),
+        ("gram-spots", "lattice-ranks", (3, 2, 0, -2, 1), _gram_spots),
+    ]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +449,11 @@ _PIPELINE_EXPECTED = (
     ("canonical curve genus", 4),
 )
 
+_BRANCH_TABLE_EXPECTED = {"column sums are 3": True,
+                          "fibre degrees are 2": True,
+                          "double points give genus 0": True,
+                          "pairing vectors agree": True}
+
 _IMAGE_EXPECTED = (
     ("albanese image", FeClass(2, 4, 12)),
     ("albanese multiplicities", {"x": 2, "m": 1, "n": 3}),
@@ -501,75 +464,57 @@ _IMAGE_EXPECTED = (
 )
 
 
-def cover_checks() -> list:
-    checks = [
-        Check("cover", "branch-numbers-main", "branch-numerology",
-              _value((Fraction(-8), 6, -9, -18, 12),
-                     lambda: tuple(branch_relations(3, 0, 7)))),
-        Check("cover", "branch-numbers-alternate", "branch-numerology",
-              _value((Fraction(-8), 2, -3, -6, 4),
-                     lambda: tuple(branch_relations(1, 0, 13)))),
-        Check("cover", "quotient-families", "quotient-families",
-              _value((("a", 3, 7, 1, -6), ("b", 1, 13, 2, -1)),
-                     lambda: tuple((f.label, f.n, f.t, f.chi, f.ksq_base)
-                                   for f in solve_cover_constraints()[0]))),
-        Check("cover", "rejected-branch-counts", "quotient-families",
-              _value(((0, Fraction(5, 2)), (2, Fraction(3, 2)),
-                      (4, Fraction(1, 2))),
-                     lambda: tuple(tuple(r)
-                                   for r in solve_cover_constraints()[1]))),
-        Check("cover", "etale-double-cover", "double-cover-invariants",
-              _value((6, 2, 3, 2),
-                     lambda: tuple(double_cover_invariants(
-                         SurfaceInvariants(3, 1, 1, 1), 3, 0, 2)))),
-        Check("cover", "ruled-surface-sections", "branch-pipeline",
-              _value(15, lambda: fe_chi(FeClass(2, 2, 6)))),
-        Check("cover", "ruled-surface-genera", "branch-pipeline",
-              _value((4, 2), lambda: (fe_genus(FeClass(2, 2, 7)),
-                                      fe_genus(FeClass(2, 2, 5))))),
+def _albanese_meeting(level) -> tuple:
+    albanese = FeClass(2, 4, 12)
+    component = FeClass(2, 2, 5)
+    mults = {"x": 2, "m": 1, "n": 3}
+    sums = tuple(mults["x"] * sum(row[:6]) + mults["m"] * 4 * row[6]
+                 + mults["n"] * 4 * row[7] for row in branch_multiplicity_table())
+    return fe_pair(albanese, component), sums
+
+
+def _family_constraints(index, level) -> bool:
+    family = solve_cover_constraints()[0][index]
+    return all(verify_cover_constraints(family, h) for h in range(6))
+
+
+def _cover_rows() -> list:
+    rows = [
+        ("branch-numbers-main", "branch-numerology",
+         (Fraction(-8), 6, -9, -18, 12),
+         lambda _: tuple(branch_relations(3, 0, 7))),
+        ("branch-numbers-alternate", "branch-numerology",
+         (Fraction(-8), 2, -3, -6, 4),
+         lambda _: tuple(branch_relations(1, 0, 13))),
+        ("quotient-families", "quotient-families",
+         (("a", 3, 7, 1, -6), ("b", 1, 13, 2, -1)),
+         lambda _: tuple((f.label, f.n, f.t, f.chi, f.ksq_base)
+                         for f in solve_cover_constraints()[0])),
+        ("rejected-branch-counts", "quotient-families",
+         ((0, Fraction(5, 2)), (2, Fraction(3, 2)), (4, Fraction(1, 2))),
+         lambda _: tuple(tuple(r) for r in solve_cover_constraints()[1])),
+        ("etale-double-cover", "double-cover-invariants", (6, 2, 3, 2),
+         lambda _: tuple(double_cover_invariants(
+             SurfaceInvariants(3, 1, 1, 1), 3, 0, 2))),
+        ("ruled-surface-sections", "branch-pipeline", 15,
+         lambda _: fe_chi(FeClass(2, 2, 6))),
+        ("ruled-surface-genera", "branch-pipeline", (4, 2),
+         lambda _: (fe_genus(FeClass(2, 2, 7)), fe_genus(FeClass(2, 2, 5)))),
     ]
-    for family_index, label in ((0, "a"), (1, "b")):
-        def constraint_run(level, family_index=family_index):
-            family = solve_cover_constraints()[0][family_index]
-            return True, all(verify_cover_constraints(family, h)
-                             for h in range(6))
-        checks.append(Check("cover", f"constraints-family-{label}",
-                            "quotient-families", constraint_run))
-
-    for index, (name, expected) in enumerate(_PIPELINE_EXPECTED):
-        def pipeline_run(level, index=index, name=name, expected=expected):
-            step_name, value = derive_branch_class()[index]
-            if step_name != name:
-                return expected, f"step order changed: {step_name}"
-            return expected, value
-        checks.append(Check("cover", f"pipeline-{_slug(name)}",
-                            "branch-pipeline", pipeline_run))
-
-    def table_run(level):
-        observed = verify_branch_table()
-        return {key: True for key in observed}, observed
-    checks.append(Check("cover", "branch-table", "branch-table", table_run))
-
-    for index, (name, expected) in enumerate(_IMAGE_EXPECTED):
-        def image_run(level, index=index, name=name, expected=expected):
-            step_name, value = derive_image_classes()[index]
-            if step_name != name:
-                return expected, f"step order changed: {step_name}"
-            return expected, value
-        checks.append(Check("cover", f"image-{_slug(name)}",
-                            "image-classes", image_run))
-
-    def meeting_run(level):
-        albanese = FeClass(2, 4, 12)
-        component = FeClass(2, 2, 5)
-        mults = {"x": 2, "m": 1, "n": 3}
-        rows = branch_multiplicity_table()
-        sums = tuple(mults["x"] * sum(row[:6]) + mults["m"] * 4 * row[6]
-                     + mults["n"] * 4 * row[7] for row in rows)
-        return (28, (28, 28, 28)), (fe_pair(albanese, component), sums)
-    checks.append(Check("cover", "albanese-component-meeting",
-                        "image-classes", meeting_run))
-    return checks
+    rows += [(f"constraints-family-{label}", "quotient-families", True,
+              partial(_family_constraints, index))
+             for index, label in enumerate(("a", "b"))]
+    rows += [(f"pipeline-{_slug(name)}", "branch-pipeline", expected,
+              partial(_step, derive_branch_class, index, name))
+             for index, (name, expected) in enumerate(_PIPELINE_EXPECTED)]
+    rows.append(("branch-table", "branch-table", _BRANCH_TABLE_EXPECTED,
+                 lambda _: verify_branch_table()))
+    rows += [(f"image-{_slug(name)}", "image-classes", expected,
+              partial(_step, derive_image_classes, index, name))
+             for index, (name, expected) in enumerate(_IMAGE_EXPECTED)]
+    rows.append(("albanese-component-meeting", "image-classes",
+                 (28, (28, 28, 28)), _albanese_meeting))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -597,39 +542,31 @@ _EXCLUSION_EXPECTED = (
 )
 
 
-def exclusion_checks() -> list:
-    checks = [
-        Check("exclusion", "degree-options", "degree-exclusions",
-              _value(((1, 12), (2, 6), (3, 4), (4, 3), (6, 2)),
-                     bicanonical_degree_options)),
-    ]
-    for index, (check_id, pattern, conflict, derived) in enumerate(
-            _EXCLUSION_EXPECTED):
-        def certificate_run(level, index=index, pattern=pattern,
-                            conflict=conflict, derived=derived):
-            cert = exclusion_certificates()[index]
-            return ((pattern, conflict, derived),
-                    (cert.pattern,
-                     (cert.conflict[0][1], cert.conflict[1][1]),
-                     cert.derived))
-        checks.append(Check("exclusion", check_id, "degree-exclusions",
-                            certificate_run))
-    return checks
+def _exclusion_rows() -> list:
+    rows = [("degree-options", "degree-exclusions",
+             ((1, 12), (2, 6), (3, 4), (4, 3), (6, 2)),
+             lambda _: bicanonical_degree_options())]
+    rows += [(check_id, "degree-exclusions", (pattern, conflict, derived),
+              partial(lambda i, _: _certificate(exclusion_certificates()[i]),
+                      index))
+             for index, (check_id, pattern, conflict, derived)
+             in enumerate(_EXCLUSION_EXPECTED)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
-    "field": field_checks,
-    "curves": curves_checks,
-    "heisenberg": heisenberg_checks,
-    "torsion": torsion_checks,
-    "ring": ring_checks,
-    "lattice": lattice_checks,
-    "cover": cover_checks,
-    "exclusion": exclusion_checks,
+_ROWS = {
+    "field": _field_rows,
+    "curves": _curves_rows,
+    "heisenberg": _heisenberg_rows,
+    "torsion": _torsion_rows,
+    "ring": _ring_rows,
+    "lattice": _lattice_rows,
+    "cover": _cover_rows,
+    "exclusion": _exclusion_rows,
 }
 
 
@@ -645,7 +582,7 @@ def build_checks(suites) -> tuple:
     out = []
     for suite in SUITES:
         if suite in wanted:
-            out.extend(_BUILDERS[suite]())
+            out.extend(_checks(suite, _ROWS[suite]()))
     return tuple(out)
 
 

@@ -3,7 +3,8 @@
 `trisect verify` runs the registered check suites at a working torsion
 level and writes the report as JSON or markdown; `trisect eval` evaluates
 a one-line intersection-ring statement.  Exit status: 0 when nothing
-failed, 1 when any check failed, 2 on usage or parse errors.
+failed, 1 when any check failed, 2 on usage or parse errors and when the
+report cannot be written.
 """
 
 from __future__ import annotations
@@ -54,8 +55,12 @@ def _run_verify_command(args) -> int:
     render = render_json if args.format == "json" else render_markdown
     text = render(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"trisect: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if report.failed else 0

@@ -20,6 +20,7 @@ from .fixtures import load_entries
 from .rings import (
     FIBRE_CLASS_CURVE,
     ObstructionCertificate,
+    certify,
     noether_invariants,
     pairing_vector,
 )
@@ -79,14 +80,14 @@ def fe_canonical(e: int) -> FeClass:
 def fe_chi(d: FeClass) -> int:
     """Euler characteristic of O(d) by Riemann-Roch."""
     twice = fe_pair(d, d - fe_canonical(d.e))
-    assert twice % 2 == 0
+    certify(twice % 2 == 0, "Riemann-Roch parity")
     return 1 + twice // 2
 
 
 def fe_genus(d: FeClass) -> int:
     """Arithmetic genus of a curve in the class d."""
     twice = fe_pair(d, d + fe_canonical(d.e))
-    assert twice % 2 == 0
+    certify(twice % 2 == 0, "adjunction parity")
     return 1 + twice // 2
 
 
@@ -186,9 +187,9 @@ def solve_cover_constraints() -> tuple:
             continue
         chi = int(chi)
         t = n + 8 * chi - 4
-        assert t == 4 * chi + 6 - n
+        certify(t == 4 * chi + 6 - n, "constraints (ii) and (iii) agree")
         ksq_base = Fraction(3 - 5 * n, 2)
-        assert ksq_base.denominator == 1
+        certify(ksq_base.denominator == 1, "integral quotient K^2")
         label = "a" if n == 3 else "b"
         families.append(CoverFamily(label, n, t, chi, int(ksq_base)))
     families.sort(key=lambda f: f.label)
@@ -238,7 +239,7 @@ def derive_branch_class() -> tuple:
 
     # the second morphism lands on the index-2 Hirzebruch surface in P^5
     hyperplane = FeClass(2, 1, 3)
-    assert fe_chi(hyperplane) == h0_k_plus_3g
+    certify(fe_chi(hyperplane) == h0_k_plus_3g, "hyperplane sections")
 
     # branch degree on a fibre line: 2g + 2 since each pencil member is a
     # double cover of a line
@@ -267,10 +268,10 @@ def derive_branch_class() -> tuple:
         lambda a: fe_pair(hyperplane, FeClass(2, 2, a)) == 7, range(-64, 65),
         "the fibre coefficient of a branch component")
     component = FeClass(2, 2, comp_l)
-    assert 3 * component == positive_part
+    certify(3 * component == positive_part, "three branch components")
     comp_genus = fe_genus(component)
     # two double points per component: geometric genus zero
-    assert comp_genus == 2
+    certify(comp_genus == 2, "branch component genus 2")
 
     # the canonical curve downstairs is the double cover of the negative
     # section: count branch points and apply Hurwitz
@@ -311,7 +312,8 @@ def branch_multiplicity_table() -> tuple:
     (x21, x31, x12, x32, x13, x23, m, n)."""
     rows = []
     for label, value, _ in load_entries("branch_table.txt"):
-        assert label.startswith("branch row ")
+        if not label.startswith("branch row "):
+            raise ValueError(f"branch_table.txt: unexpected label {label!r}")
         rows.append(tuple(int(x) for x in value.split()))
     return tuple(rows)
 
@@ -370,7 +372,7 @@ def derive_image_classes() -> tuple:
     order = ("K", "G", "B12", "B13", "B23", "M1", "M2", "M3", "M4")
     x_mult = {f0[order.index(name)] for name in ("B12", "B13", "B23")}
     m_mult = {f0[order.index(f"M{k}")] for k in (1, 2, 3, 4)}
-    assert x_mult == {2} and m_mult == {1}
+    certify(x_mult == {2} and m_mult == {1}, "albanese base multiplicities")
     albanese_multiplicities = {"x": 2, "m": 1, "n": FIBRE_CLASS_CURVE.dot_f}
 
     # bicanonical image class 2*C0 + b*L: the bicanonical system meets a
@@ -380,7 +382,7 @@ def derive_image_classes() -> tuple:
     # corrections at the blown-up points
     two_k_dot_g = 2 * 2
     bic_ruling = two_k_dot_g // 2
-    assert bic_ruling == 2
+    certify(bic_ruling == 2, "bicanonical ruling degree 2")
     component = FeClass(2, 2, 5)
     k_dot_a = 1                   # K-degree of a fixed branch curve upstairs
     pair_target = 2 * k_dot_a + 14
@@ -475,19 +477,20 @@ def _exclude_degree6_slope() -> ObstructionCertificate:
     # 2-torsion difference of the ruling pullback and K
     base = SurfaceInvariants(KSQ, CHI, 1, 1)
     cover = double_cover_invariants(base, kl_sq=KSQ, l_dot=0, h0=2)
-    assert cover == SurfaceInvariants(6, 2, 3, 2)
+    certify(cover == SurfaceInvariants(6, 2, 3, 2), "cover invariants")
     inv = noether_invariants(cover.pg, cover.q, cover.ksq)
-    assert inv.chi == cover.chi
+    certify(inv.chi == cover.chi, "Noether's formula for the cover")
     # base genus of the induced fibration: 8(g-1)(b-1) <= K^2 with fibre
     # genus at least 2 forces b = 1; Euler number 18 > 0 forces a singular
     # fibre, so the slope machinery applies
-    assert inv.c2 == 18
+    certify(inv.c2 == 18, "cover Euler number 18")
     b_candidates = [b for b in range(1, 4)
                     if 8 * (2 - 1) * (b - 1) <= cover.ksq]
-    assert b_candidates == [1]
+    certify(b_candidates == [1], "fibration base genus 1")
     base_genus = b_candidates[0]
     slope = Fraction(cover.ksq, cover.chi)
-    assert slope < 4      # the slope inequality then pins the irregularity
+    # the slope inequality then pins the irregularity
+    certify(slope < 4, "slope below 4")
     return ObstructionCertificate(
         pattern="d=6 slope",
         conflict=(("irregularity of the unramified cover", cover.q),

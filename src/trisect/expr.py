@@ -125,7 +125,7 @@ class Statement:
 
     def evaluate(self) -> tuple:
         ctx = _Context(self.context)
-        return tuple(_apply_head(self.head, ctx, _eval_sum(e, ctx))
+        return tuple(_apply_head(self.head, ctx, _eval_sum_value(e, ctx))
                      for e in self.exprs)
 
 
@@ -134,6 +134,10 @@ class Statement:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(C0|[DFhfLK]|\d+|[-+*(),])")
+
+# Each nesting level costs the parser and the evaluator three stack frames,
+# so this bound keeps both well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list:
@@ -155,6 +159,7 @@ class _Parser:
         self.tokens = tokens
         self.symbols = symbols
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -196,7 +201,11 @@ class _Parser:
     def parse_factor(self) -> Factor:
         token = self.take()
         if token == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}")
+            self.depth += 1
             inner = self.parse_sum()
+            self.depth -= 1
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
             return inner
@@ -327,10 +336,6 @@ def _eval_sum_value(expr: Sum, ctx: _Context):
         else:
             total = ctx.add(total, value)
     return (total_kind, total)
-
-
-def _eval_sum(expr: Sum, ctx: _Context):
-    return _eval_sum_value(expr, ctx)
 
 
 def _apply_head(head: str, ctx: _Context, result):

@@ -2,7 +2,8 @@
 
 Every quantity in the package is either a reduced rational (`Rat`, an alias
 for `fractions.Fraction`) or an element of Q(w) written on the basis {1, w}.
-Nothing in here is floating point.
+Nothing in here is floating point.  Linear algebra over either field goes
+through one exact elimination routine, `rref`.
 """
 
 from __future__ import annotations
@@ -170,3 +171,28 @@ def parse_eis(text: str) -> Eis:
     if pos != len(s):
         raise ValueError(f"cannot parse Q(w) literal {text!r}")
     return Eis(a, b)
+
+
+def rref(rows) -> list:
+    """Reduced row echelon form of a matrix over Q or Q(w) by exact
+    Gauss-Jordan elimination: the nonzero rows, each with leading entry 1 and
+    zeros above and below it.  The form is unique, so it is a canonical basis
+    of the row space and its length is the rank.  Entries are ints,
+    Fractions or `Eis` values; a ragged matrix raises ValueError."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    rows = [list(row) for row in rows if any(row)]
+    pivot_row = 0
+    for col in range(len(rows[0]) if rows else 0):
+        src = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        inv = Fraction(1) / rows[pivot_row][col]
+        rows[pivot_row] = [inv * x for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    return rows[:pivot_row]

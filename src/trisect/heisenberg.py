@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .curves import Form, ProjPoint, fulton_mult, line_intersection, parse_form
-from .field import Eis, w_pow
+from .field import Eis, rref, w_pow
 from .fixtures import load_entries
 
 Char = tuple[int, int]
@@ -84,27 +84,6 @@ def _vector_form(vec) -> Form:
     return Form(dict(zip(DEGREE3_MONOMIALS, vec)))
 
 
-def _rref(rows: list[list[Eis]]) -> list[list[Eis]]:
-    rows = [row[:] for row in rows if any(row)]
-    pivot_row = 0
-    width = len(DEGREE3_MONOMIALS)
-    for col in range(width):
-        src = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [inv * x for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [row for row in rows[:pivot_row] if any(row)]
-
-
 @lru_cache(maxsize=None)
 def decompose_degree3() -> dict:
     """Reduced monic basis of each character space of degree-three forms.
@@ -119,7 +98,7 @@ def decompose_degree3() -> dict:
             proj = character_projection(Form({mono: Eis(1)}), char)
             if proj:
                 projections.append(_form_vector(proj))
-        out[char] = tuple(_vector_form(row) for row in _rref(projections))
+        out[char] = tuple(_vector_form(row) for row in rref(projections))
     return out
 
 
@@ -169,13 +148,6 @@ def triangles() -> tuple[Triangle, ...]:
                       for i, j in ((0, 1), (0, 2), (1, 2)))
         out.append(Triangle(char, factors, product, verts))
     return tuple(out)
-
-
-def triangle_by_class(cls: Char) -> Triangle:
-    for tri in triangles():
-        if tri.label == cls:
-            return tri
-    raise KeyError(cls)
 
 
 def pencil_generators() -> tuple[Form, Form]:

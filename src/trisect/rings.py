@@ -20,9 +20,18 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import NamedTuple
 
+from .field import rref
 from .fixtures import load_entries
 
 Class2 = tuple[int, int]
+
+
+def certify(holds: bool, step: str) -> None:
+    """Raise ArithmeticError unless a step of a certificate holds.  Unlike an
+    assert, the check is not stripped by python -O."""
+    if not holds:
+        raise ArithmeticError(f"certificate step fails: {step}")
+
 
 # ---------------------------------------------------------------------------
 # Third symmetric product
@@ -52,7 +61,7 @@ def chi_symmetric_power(n: int, a: int, b: int) -> int:
     for i in range(1, n):
         num *= a + i
     value = Fraction(num, factorial(n))
-    assert value.denominator == 1
+    certify(value.denominator == 1, "integral Euler characteristic")
     return int(value)
 
 
@@ -241,7 +250,7 @@ def certificate_triple_component() -> ObstructionCertificate:
     """A canonical curve equal to three times one component: the component
     self-intersection would be K^2 / 9, not an integer."""
     forced = Fraction(KSQ, 9)
-    assert forced.denominator != 1
+    certify(forced.denominator != 1, "non-integral A.A")
     return ObstructionCertificate(
         pattern="3A",
         conflict=(("canonical self-intersection", KSQ),
@@ -256,13 +265,13 @@ def certificate_double_component() -> ObstructionCertificate:
     below the minimum 2 that a 2-connected canonical divisor imposes."""
     degrees = [(ka, kb) for ka in range(1, 4) for kb in range(1, 4)
                if 2 * ka + kb == KSQ]
-    assert degrees == [(1, 1)]
+    certify(degrees == [(1, 1)], "K-degrees (1, 1)")
     ka, kb = degrees[0]
     # A.A: adjunction parity makes it odd, the index bound caps it at 0, and
     # p_a(2A) = 2 + 2 A.A must be nonnegative for the connected double
     a_candidates = [s for s in range(-3, 1)
                     if (s + ka) % 2 == 0 and KSQ * s <= ka * ka and 2 + 2 * s >= 0]
-    assert a_candidates == [-1]
+    certify(a_candidates == [-1], "A.A = -1")
     a_sq = a_candidates[0]
     pa_2a = 2 + 2 * a_sq
     # B.B from genus additivity: p_a(K) = p_a(2A) + p_a(B) + 2 A.B - 1
@@ -276,7 +285,7 @@ def certificate_double_component() -> ObstructionCertificate:
         ab = Fraction(CANONICAL_GENUS - pa_2a - pa_b + 1, 2)
         if ab.denominator == 1:
             solutions.append((b_sq, pa_b, int(ab)))
-    assert solutions == [(-1, 1, 2)]
+    certify(solutions == [(-1, 1, 2)], "(B.B, p_a(B), A.B) = (-1, 1, 2)")
     b_sq, pa_b, ab = solutions[0]
     connect = a_sq + ab
     return ObstructionCertificate(
@@ -357,29 +366,9 @@ def albanese_degrees(case: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def lattice_rank(rows) -> int:
-    """Rank of an integer (or rational) matrix by exact Gaussian
-    elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    width = len(m[0])
-    if any(len(row) != width for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / lead
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of an integer (or rational) matrix: the length of its reduced
+    row echelon form over Q."""
+    return len(rref([[Fraction(x) for x in row] for row in rows]))
 
 
 def relation_residual(lhs, rhs) -> tuple:
@@ -477,7 +466,7 @@ def derive_albanese_genus2_pairing() -> DerivedPairing:
     mf = (1, 1, 1, 1)         # fixed-pair curves are sections of the albanese
     nf = (3, 3, 3, 3)         # fibre-class curves are trisections
     gf3 = Fraction(3 * kf - sum(af), 3)
-    assert gf3.denominator == 1
+    certify(gf3.denominator == 1, "integral genus-two fibre degree")
     gf = int(gf3)
     res1 = 3 * kf - 3 * gf - sum(af)
     res2 = f_sq + 3 * gf - 2 * kf - sum(mf)

@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +12,30 @@ from trisect.cli import main
 from trisect.report import Check, run_checks
 
 
+# sha256 of the default report's (suite, check_id, status, expected,
+# actual) rows, one sorted-key JSON list per line as perfbench/run.py
+# digests them: any change to a row's text shows here
+REPORT_ROWS_SHA256 = (
+    "50639b141d091a9d996e3483cc989652cfe131fab9fc8ae2e76be19b3fe8f6df")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _strip_millis(text: str) -> str:
     return re.sub(r'"millis": \d+', '"millis": 0', text)
+
+
+def _rows_sha256(text: str) -> str:
+    rows = [(r["suite"], r["check_id"], r["status"], r["expected"],
+             r["actual"]) for r in json.loads(text)["results"]]
+    lines = "\n".join(json.dumps(list(r), sort_keys=True) for r in rows)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def _run_python(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=300)
 
 
 def test_verify_json_shape(capsys):
@@ -28,6 +55,15 @@ def test_verify_json_deterministic(capsys):
     main(["verify"])
     second = capsys.readouterr().out
     assert _strip_millis(first).encode() == _strip_millis(second).encode()
+    assert _rows_sha256(first) == REPORT_ROWS_SHA256
+
+
+def test_verify_under_optimize_flag_gives_the_same_rows():
+    # certificates must not live in asserts, which -O strips
+    plain = _run_python("-m", "trisect.cli", "verify")
+    optimized = _run_python("-O", "-m", "trisect.cli", "verify")
+    assert plain.returncode == optimized.returncode == 0
+    assert _strip_millis(optimized.stdout) == _strip_millis(plain.stdout)
 
 
 def test_verify_markdown(capsys):
@@ -97,6 +133,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["summary"]["pass"] == 6
 
 
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--suite", "field", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("trisect:")
+    assert not target.exists()
+
+
 def test_empty_report_renders(capsys):
     from trisect.report import render_json, render_markdown
     report = run_checks([], 24)
@@ -134,6 +179,8 @@ def test_eval_worked_examples(capsys):
     assert main(["eval",
                  "triple E(3): (4D - F)*(4D - F)*(4D - F)"]) == 0
     assert capsys.readouterr().out == "16\n"
+    assert main(["eval", "chi E(3): " + "(" * 50 + "4D - F" + ")" * 50]) == 0
+    assert capsys.readouterr().out == "5\n"
 
 
 def test_eval_errors_exit_2(capsys):
@@ -141,3 +188,5 @@ def test_eval_errors_exit_2(capsys):
     assert "trisect:" in capsys.readouterr().err
     assert main(["eval", "genus E(3): D"]) == 2
     assert "trisect:" in capsys.readouterr().err
+    assert main(["eval", "chi E(3): " + "(" * 3000 + "D" + ")" * 3000]) == 2
+    assert "nest deeper" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Double-cover numerology: Hirzebruch arithmetic, branch constraint
 families, the quadric-model pipeline, and the degree exclusions."""
 
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -148,6 +153,27 @@ def test_branch_table_consistency():
     assert len(rows) == 3 and all(len(r) == 8 for r in rows)
     checks = verify_branch_table()
     assert all(checks.values()), checks
+
+
+def test_malformed_branch_table_label_raises_under_optimize(tmp_path):
+    # a copy of the package whose branch table has a mislabelled row; the
+    # label check must survive python -O, which strips asserts
+    package = Path(__file__).resolve().parents[1] / "src" / "trisect"
+    copy = tmp_path / "trisect"
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    table = copy / "fixtures" / "branch_table.txt"
+    text = table.read_text(encoding="utf-8")
+    table.write_text(text.replace("branch row B1", "branch col B1"),
+                     encoding="utf-8")
+    probe = ("from trisect.covers import branch_multiplicity_table\n"
+             "branch_multiplicity_table()\n")
+    result = subprocess.run([sys.executable, "-O", "-c", probe],
+                            capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert result.returncode != 0
+    assert "ValueError" in result.stderr
+    assert "branch col B1" in result.stderr
 
 
 def test_image_classes():

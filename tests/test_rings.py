@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisect.field import Eis, W, rref
 from trisect.rings import (
     E2_CANONICAL,
     E3_BOUNDARY,
@@ -318,6 +319,13 @@ def test_lattice_rank_edge_cases():
     assert lattice_rank([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == 2
     with pytest.raises(ValueError):
         lattice_rank([[1, 2], [1]])
+    # the ragged check runs before zero rows are dropped
+    with pytest.raises(ValueError):
+        lattice_rank([[0, 0], [0]])
+    # the same elimination routine over Q(w): the second row is w times the
+    # first, and the reduced form is unique
+    assert rref([[W, 1], [W * W, W]]) == [[Eis(1), W * W]]
+    assert rref([[W, 1], [1, W]]) == [[Eis(1), Eis(0)], [Eis(0), Eis(1)]]
 
 
 # ---------------------------------------------------------------------------
