@@ -17,8 +17,8 @@ LEVELS = (6, 12, 18, 24, 30, 36, 48)
 
 
 def main() -> None:
-    print(f"{'level':>6} {'pass':>5} {'fail':>5} {'skip':>5} {'seconds':>8}"
-          "  base points")
+    print(f"{'level':>6} {'pass':>5} {'fail':>5} {'error':>5} {'skip':>5}"
+          f" {'seconds':>8}  base points")
     baseline = None
     failures = 0
     for level in LEVELS:
@@ -31,9 +31,9 @@ def main() -> None:
         stable = "stable" if points == baseline else "DIFFERS"
         summary = report.summary
         print(f"{level:>6} {summary['pass']:>5} {summary['fail']:>5}"
-              f" {summary['skip']:>5} {elapsed:>8.2f}"
+              f" {summary['error']:>5} {summary['skip']:>5} {elapsed:>8.2f}"
               f"  {len(points)} {stable}")
-        failures += summary["fail"] + (points != baseline)
+        failures += summary["fail"] + summary["error"] + (points != baseline)
     raise SystemExit(1 if failures else 0)
 
 

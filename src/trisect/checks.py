@@ -26,7 +26,8 @@ from .covers import (FeClass, SurfaceInvariants, bicanonical_degree_options,
                      verify_branch_table, verify_cover_constraints)
 from .curves import fulton_mult, linear_form, parse_form, ProjPoint
 from .field import Eis, W, parse_eis
-from .heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, decompose_degree3,
+from .heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, contains_vertices,
+                         decompose_degree3, expected_pair_pattern,
                          printed_eigencubics, verify_pencil_pairs,
                          verify_vertex_containment)
 from .report import SUITES, Check, run_checks
@@ -146,13 +147,13 @@ def _containment_text(contained: bool, mults) -> str:
     return "not contained"
 
 
-@lru_cache(maxsize=None)
-def _vertex_texts() -> dict:
-    """(cubic, triangle) -> (expected, actual) text of each containment."""
-    return {(c.cubic, c.triangle):
-            (_containment_text(c.expected_contained, (3, 3, 3)),
-             _containment_text(c.contained, c.vertex_mults))
-            for c in verify_vertex_containment()}
+def _vertex_expected(char, triangle, level) -> str:
+    return _containment_text(contains_vertices(char, triangle), (3, 3, 3))
+
+
+def _vertex_actual(char, triangle, level) -> str:
+    record = verify_vertex_containment(char, triangle)
+    return _containment_text(record.contained, record.vertex_mults)
 
 
 def _pattern_text(entries, total) -> str:
@@ -160,27 +161,26 @@ def _pattern_text(entries, total) -> str:
     return f"{parts} ; total {total}"
 
 
-@lru_cache(maxsize=None)
-def _pair_texts() -> dict:
-    """Labels -> (expected, actual) intersection pattern of each pair."""
-    out = {}
-    for record in verify_pencil_pairs():
-        observed = []
-        for cls, mults in sorted(record.actual):
-            if mults == (0, 0, 0):
-                continue
-            if all(isinstance(m, int) for m in mults) and len(set(mults)) == 1:
-                observed.append((cls, mults[0]))
-            else:
-                observed.append((cls, str(mults)))
-        out[record.labels] = (_pattern_text(record.expected, record.bezout),
-                              _pattern_text(observed, record.total))
-    return out
+def _pair_expected(c1, c2, level) -> str:
+    """The predicted pattern, and Bezout's bound for the printed cubics."""
+    eigen = printed_eigencubics()
+    return _pattern_text(sorted(expected_pair_pattern(c1, c2).items()),
+                         eigen[c1][0].degree * eigen[c2][0].degree)
 
 
-def _side(texts, key, index: int, level):
-    """Expected (index 0) or actual (index 1) entry of a cached family."""
-    return texts()[key][index]
+def _pair_actual(c1, c2, level) -> str:
+    """The observed pattern: one entry per triangle met, a single
+    multiplicity when the three vertices agree."""
+    record = verify_pencil_pairs(c1, c2)
+    observed = []
+    for cls, mults in sorted(record.actual):
+        if mults == (0, 0, 0):
+            continue
+        if all(isinstance(m, int) for m in mults) and len(set(mults)) == 1:
+            observed.append((cls, mults[0]))
+        else:
+            observed.append((cls, str(mults)))
+    return _pattern_text(observed, record.total)
 
 
 def _heisenberg_rows() -> list:
@@ -196,12 +196,11 @@ def _heisenberg_rows() -> list:
          lambda _: sum(len(v) for v in decompose_degree3().values())),
     ]
     rows += [(f"vertex-{_cid(char)}-tri-{_cid(tri)}", "vertex-containment",
-              partial(_side, _vertex_texts, (char, tri), 0),
-              partial(_side, _vertex_texts, (char, tri), 1))
+              partial(_vertex_expected, char, tri),
+              partial(_vertex_actual, char, tri))
              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
     rows += [(f"pair-{_cid(c1)}-{_cid(c2)}", "pencil-pair-intersections",
-              partial(_side, _pair_texts, (c1, c2), 0),
-              partial(_side, _pair_texts, (c1, c2), 1))
+              partial(_pair_expected, c1, c2), partial(_pair_actual, c1, c2))
              for c1, c2 in combinations(NONZERO_CHARS, 2)]
     return rows
 

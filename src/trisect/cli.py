@@ -3,8 +3,8 @@
 `trisect verify` runs the registered check suites at a working torsion
 level and writes the report as JSON or markdown; `trisect eval` evaluates
 a one-line intersection-ring statement.  Exit status: 0 when nothing
-failed, 1 when any check failed, 2 on usage or parse errors and when the
-report cannot be written.
+failed, 1 when any check failed or raised, 2 on usage or parse errors and
+when the report cannot be written.
 """
 
 from __future__ import annotations

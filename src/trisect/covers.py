@@ -298,13 +298,6 @@ def derive_branch_class() -> tuple:
     )
 
 
-def branch_value(steps, name: str):
-    for step_name, value in steps:
-        if step_name == name:
-            return value
-    raise KeyError(name)
-
-
 @lru_cache(maxsize=None)
 def branch_multiplicity_table() -> tuple:
     """Transcribed multiplicities of the three branch components at the

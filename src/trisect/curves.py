@@ -112,15 +112,6 @@ class Form:
             total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2
         return total
 
-    def partial(self, index: int) -> "Form":
-        out = {}
-        for m, c in self.coeffs.items():
-            if m[index]:
-                lowered = list(m)
-                lowered[index] -= 1
-                out[tuple(lowered)] = c * m[index]
-        return Form(out)
-
     def monic(self) -> "Form":
         """Scale so the lex-largest monomial has coefficient one."""
         if not self.coeffs:
@@ -290,12 +281,6 @@ def line_intersection(l1: Form, l2: Form) -> ProjPoint:
     if not any(cross):
         raise ValueError("lines coincide")
     return ProjPoint(*cross)
-
-
-def is_singular_at(curve: Form, point: ProjPoint) -> bool:
-    """True when all three partials vanish at the point (by the Euler
-    relation the curve itself then vanishes there too)."""
-    return all(not curve.partial(i).evaluate(point) for i in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ class Eis:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("Q(w) coefficients must be exact, not floating point")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
 

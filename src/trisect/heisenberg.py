@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .curves import Form, ProjPoint, fulton_mult, line_intersection, parse_form
 from .field import Eis, rref, w_pow
@@ -150,27 +149,6 @@ def triangles() -> tuple[Triangle, ...]:
     return tuple(out)
 
 
-def pencil_generators() -> tuple[Form, Form]:
-    """The two invariant cubics spanning the pencil."""
-    return printed_eigencubics()[(0, 0)]
-
-
-def in_pencil(form: Form) -> bool:
-    f0, f_inf = pencil_generators()
-    lam = form.coeffs.get((3, 0, 0), Eis(0))
-    mu = form.coeffs.get((1, 1, 1), Eis(0))
-    return form == f0.scale(lam) + f_inf.scale(mu)
-
-
-def base_points() -> tuple[ProjPoint, ...]:
-    """The nine common points of all pencil members."""
-    pts = []
-    for k in range(3):
-        m = -w_pow(k)
-        pts.extend((ProjPoint(0, 1, m), ProjPoint(1, 0, m), ProjPoint(1, m, 0)))
-    return tuple(pts)
-
-
 # ---------------------------------------------------------------------------
 # Vertex containment and pencil pair intersections, checked pointwise
 # ---------------------------------------------------------------------------
@@ -189,19 +167,21 @@ class ContainmentCheck:
     ok: bool
 
 
-def verify_vertex_containment() -> tuple[ContainmentCheck, ...]:
-    eigen = printed_eigencubics()
-    checks = []
-    for char in NONZERO_CHARS:
-        curve = eigen[char][0]
-        for tri in triangles():
-            expected = tri.label != char_class(char)
-            mults = tuple(fulton_mult(curve, tri.product, v) for v in tri.vertices)
-            contained = all(not curve.evaluate(v) for v in tri.vertices)
-            ok = contained == expected and (mults == (3, 3, 3) if expected else True)
-            checks.append(ContainmentCheck(
-                char, tri.label, expected, contained, mults, ok))
-    return tuple(checks)
+def contains_vertices(char: Char, triangle: Char) -> bool:
+    """The claim: the eigencubic of `char` passes through the vertices of the
+    triangle of class `triangle` exactly when the two classes differ."""
+    return triangle != char_class(char)
+
+
+def verify_vertex_containment(char: Char, triangle: Char) -> ContainmentCheck:
+    """Check the claim for one eigencubic and one triangle class."""
+    curve = printed_eigencubics()[char][0]
+    tri = {t.label: t for t in triangles()}[triangle]
+    expected = contains_vertices(char, triangle)
+    mults = tuple(fulton_mult(curve, tri.product, v) for v in tri.vertices)
+    contained = all(not curve.evaluate(v) for v in tri.vertices)
+    ok = contained == expected and (mults == (3, 3, 3) if expected else True)
+    return ContainmentCheck(char, triangle, expected, contained, mults, ok)
 
 
 @dataclass(frozen=True)
@@ -227,29 +207,27 @@ def expected_pair_pattern(c1: Char, c2: Char) -> dict:
             char_class(char_add(c1, char_neg(c2))): 2}
 
 
-def verify_pencil_pairs() -> tuple[PairCheck, ...]:
+def verify_pencil_pairs(c1: Char, c2: Char) -> PairCheck:
+    """Check the meeting pattern of the eigencubics of two characters."""
     eigen = printed_eigencubics()
-    checks = []
-    for c1, c2 in combinations(NONZERO_CHARS, 2):
-        f, g = eigen[c1][0], eigen[c2][0]
-        pattern = expected_pair_pattern(c1, c2)
-        actual = []
-        total = 0
-        ok = True
-        for tri in triangles():
-            mults = tuple(fulton_mult(f, g, v) for v in tri.vertices)
-            actual.append((tri.label, mults))
-            want = pattern.get(tri.label, 0)
-            if mults != (want, want, want):
-                ok = False
-            if all(isinstance(m, int) for m in mults):
-                total += sum(mults)
-            else:
-                ok = False
-        bezout = f.degree * g.degree
-        if total != bezout:
+    f, g = eigen[c1][0], eigen[c2][0]
+    pattern = expected_pair_pattern(c1, c2)
+    actual = []
+    total = 0
+    ok = True
+    for tri in triangles():
+        mults = tuple(fulton_mult(f, g, v) for v in tri.vertices)
+        actual.append((tri.label, mults))
+        want = pattern.get(tri.label, 0)
+        if mults != (want, want, want):
             ok = False
-        checks.append(PairCheck(
-            (c1, c2), c2 == char_neg(c1),
-            tuple(sorted(pattern.items())), tuple(actual), total, bezout, ok))
-    return tuple(checks)
+        if all(isinstance(m, int) for m in mults):
+            total += sum(mults)
+        else:
+            ok = False
+    bezout = f.degree * g.degree
+    if total != bezout:
+        ok = False
+    return PairCheck((c1, c2), c2 == char_neg(c1),
+                     tuple(sorted(pattern.items())), tuple(actual), total,
+                     bezout, ok)

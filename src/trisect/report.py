@@ -1,8 +1,9 @@
 """Verification report: runs registered checks and renders the results.
 
 A check is a named computation returning an (expected, actual) pair; the
-report records PASS when the two compare equal, FAIL otherwise, and SKIP
-when the requested working torsion level is below what the check needs.
+report records PASS when the two compare equal, FAIL otherwise, ERROR when
+the computation raised, and SKIP when the requested working torsion level is
+below what the check needs.
 Reruns with the same arguments produce byte-identical JSON except for the
 timing fields.
 """
@@ -38,7 +39,7 @@ class CheckResult:
     suite: str
     check_id: str
     paper_ref: str
-    status: str                 # PASS, FAIL or SKIP
+    status: str                 # PASS, FAIL, ERROR or SKIP
     expected: Optional[object]
     actual: Optional[object]
     millis: int
@@ -63,14 +64,14 @@ class Report:
 
     @property
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "skip": 0}
+        counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
         for result in self.results:
             counts[result.status.lower()] += 1
         return counts
 
     @property
     def failed(self) -> bool:
-        return any(r.status == "FAIL" for r in self.results)
+        return any(r.status in ("FAIL", "ERROR") for r in self.results)
 
     def to_dict(self) -> dict:
         return {
@@ -107,9 +108,15 @@ def run_checks(checks, torsion_level: int) -> Report:
                                        reason, 0))
             continue
         start = time.perf_counter_ns()
-        expected, actual = check.run(torsion_level)
+        try:
+            expected, actual = check.run(torsion_level)
+        except Exception as exc:
+            # one broken check must not take the rest of the report down
+            status, expected = "ERROR", None
+            actual = f"{type(exc).__name__}: {exc}"
+        else:
+            status = "PASS" if expected == actual else "FAIL"
         millis = (time.perf_counter_ns() - start) // 1_000_000
-        status = "PASS" if expected == actual else "FAIL"
         results.append(CheckResult(check.suite, check.check_id,
                                    check.paper_ref, status,
                                    expected, actual, int(millis)))
@@ -125,6 +132,7 @@ def render_markdown(report: Report) -> str:
     summary = report.summary
     lines.append(f"Working torsion level {report.torsion_level}; "
                  f"{summary['pass']} passed, {summary['fail']} failed, "
+                 f"{summary['error']} raised an error, "
                  f"{summary['skip']} skipped.")
     by_suite: dict = {}
     for result in report.results:

@@ -298,10 +298,6 @@ def certificate_double_component() -> ObstructionCertificate:
     )
 
 
-def non_reduced_certificates() -> tuple:
-    return (certificate_triple_component(), certificate_double_component())
-
-
 # ---------------------------------------------------------------------------
 # Second-symmetric-product classes of the splitting components
 # ---------------------------------------------------------------------------
@@ -367,7 +363,10 @@ def albanese_degrees(case: str) -> tuple:
 
 def lattice_rank(rows) -> int:
     """Rank of an integer (or rational) matrix: the length of its reduced
-    row echelon form over Q."""
+    row echelon form over Q.  Floats are refused, since rounding can change
+    the rank."""
+    if any(isinstance(x, float) for row in rows for x in row):
+        raise TypeError("lattice entries must be exact, not floating point")
     return len(rref([[Fraction(x) for x in row] for row in rows]))
 
 
@@ -386,10 +385,6 @@ def relation_residual(lhs, rhs) -> tuple:
             for i, v in enumerate(vec):
                 total[i] += sign * coeff * v
     return tuple(total)
-
-
-def check_relation(lhs, rhs) -> bool:
-    return not any(relation_residual(lhs, rhs))
 
 
 @lru_cache(maxsize=None)

@@ -233,13 +233,6 @@ def locus_N(pt: TorsionPt) -> Locus:
     return curve_locus(f"N{rep}", ((ORIGIN, 1), (rep, 1), (2 * rep, 1)))
 
 
-def locus_M(i: int) -> Locus:
-    """Triples {x, eta_i, 2 eta_i}: a moving point plus a fixed three-torsion
-    pair."""
-    eta = ETA[i]
-    return curve_locus(f"M{i}", ((ORIGIN, 1), (eta, 0), (2 * eta, 0)))
-
-
 def locus_line(i: int) -> Locus:
     """Triples {xi_i, x, x + xi_i}."""
     xi = XI[i]
@@ -249,13 +242,6 @@ def locus_line(i: int) -> Locus:
 def locus_Gamma() -> Locus:
     """Triples {x, x + xi_1, x + xi_2}."""
     return curve_locus("Gamma", ((ORIGIN, 1), (XI[1], 1), (XI[2], 1)))
-
-
-def locus_B(i: int, j: int) -> Locus:
-    """Triples {xi_i, x, x + xi_j}, i != j."""
-    if i == j:
-        raise ValueError("locus_B needs two distinct two-torsion indices")
-    return curve_locus(f"B{i}{j}", ((XI[i], 0), (ORIGIN, 1), (XI[j], 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,38 +301,17 @@ def member(locus: Locus, triple: Triple) -> bool:
 
 
 def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
-    """Triples of E[m]^3 lying on both loci."""
+    """Triples of E[m]^3 lying on both loci, at least one of them a curve."""
     check_level(m)
     for locus in (l1, l2):
         if m % locus.constants_level():
             raise InsufficientLevelError(
                 f"{locus} needs level {locus.constants_level()} | m, got {m}")
-    if l2.kind == CURVE1 and l1.kind != CURVE1:
+    if l1.kind != CURVE1:
         l1, l2 = l2, l1
-    if l1.kind == CURVE1:
-        return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
-    return frozenset(t for t in _surface_triples(l1, m) if member(l2, t))
-
-
-@lru_cache(maxsize=None)
-def _surface_triples(locus: Locus, m: int) -> frozenset:
-    out = set()
-    if locus.kind == SURFACE_D:
-        u = locus.anchor
-        for y in grid(m):
-            for z in grid(m):
-                out.add(Triple.of(u, y, z))
-    elif locus.kind == SURFACE_F:
-        for p in grid(m):
-            for q in grid(m):
-                out.add(Triple.of(p, q, locus.anchor - p - q))
-    elif locus.kind == SURFACE_Y:
-        for q in grid(m):
-            for r in grid(m):
-                out.add(Triple.of(q + r, q, r))
-    else:
-        raise ValueError(f"not a surface locus: {locus}")
-    return frozenset(out)
+    if l1.kind != CURVE1:
+        raise ValueError(f"no curve locus to intersect: {l1} and {l2}")
+    return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
 
 
 def contains_locus(surface: Locus, curve: Locus) -> bool:
@@ -414,16 +379,6 @@ def fibre_intersection_rule(p: TorsionPt, q: TorsionPt):
         skip = class_rep(p)
         return tuple((rep, 1) for rep in CLASS_REPS if rep != skip)
     return tuple(sorted(((class_rep(p + q), 1), (class_rep(p - q), 2))))
-
-
-def build_intersection_table() -> dict:
-    """The rule evaluated on all 28 unordered pairs of distinct nonzero
-    three-torsion points."""
-    table = {}
-    for i, p in enumerate(THREE_TORSION):
-        for q in THREE_TORSION[i + 1:]:
-            table[frozenset((p, q))] = fibre_intersection_rule(p, q)
-    return table
 
 
 def common_fibre_classes(points) -> tuple:

@@ -8,26 +8,30 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from trisect.cli import main
-from trisect.covers import (FeClass, branch_value, derive_branch_class,
+from trisect.covers import (FeClass, derive_branch_class,
                             derive_image_classes, exclusion_certificates,
                             fe_chi, fe_genus, fe_pair, solve_cover_constraints)
-from trisect.heisenberg import (NONZERO_CHARS, char_class, decompose_degree3,
-                                printed_eigencubics, verify_pencil_pairs,
-                                verify_vertex_containment)
+from trisect.heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, char_class,
+                                decompose_degree3, printed_eigencubics,
+                                verify_pencil_pairs, verify_vertex_containment)
 from trisect.rings import (albanese_degrees, canonical_relations,
-                           check_relation, chi_symmetric_power,
+                           certificate_double_component,
+                           certificate_triple_component, chi_symmetric_power,
                            derive_albanese_genus2_pairing,
                            enumerate_splittings, gram_matrix, lattice_rank,
-                           noether_invariants, non_reduced_certificates)
-from trisect.torsion import (ETA, ORIGIN, XI, Triple, build_intersection_table,
-                             contains_locus, enumerate_base_points,
-                             expected_base_points, intersect_loci, locus_A,
-                             locus_D, locus_F, locus_Gamma, locus_N,
-                             locus_Y, locus_line, printed_intersection_table)
+                           noether_invariants, relation_residual)
+from trisect.torsion import (ETA, ORIGIN, XI, Triple, contains_locus,
+                             enumerate_base_points, expected_base_points,
+                             intersect_loci, locus_A, locus_D, locus_F,
+                             locus_Gamma, locus_N, locus_Y, locus_line,
+                             printed_intersection_table)
+
+from helpers import build_intersection_table
 
 
 @pytest.mark.criterion(1, "twisted Euler characteristics")
@@ -59,7 +63,8 @@ def test_criterion_2_eigencubics():
 @pytest.mark.criterion(3, "vertex containment")
 def test_criterion_3_vertex_containment():
     start = time.perf_counter()
-    checks = verify_vertex_containment()
+    checks = [verify_vertex_containment(char, tri)
+              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
     elapsed = time.perf_counter() - start
     assert len(checks) == 32
     for check in checks:
@@ -73,7 +78,8 @@ def test_criterion_3_vertex_containment():
 
 @pytest.mark.criterion(4, "pencil pair intersections")
 def test_criterion_4_pencil_pairs():
-    checks = verify_pencil_pairs()
+    checks = [verify_pencil_pairs(c1, c2)
+              for c1, c2 in combinations(NONZERO_CHARS, 2)]
     assert len(checks) == 28
     for check in checks:
         assert check.ok
@@ -127,7 +133,8 @@ def test_criterion_8_splittings():
     assert splittings["1b"].components == ((2, 0), (1, -1))
     assert splittings["2a"].components == ((1, -1), (1, -1), (1, -1))
     assert splittings["2b"].components == ((1, -1), (1, -1), (1, -3))
-    certificates = non_reduced_certificates()
+    certificates = (certificate_triple_component(),
+                    certificate_double_component())
     assert [c.pattern for c in certificates] == ["3A", "2A+B"]
     for certificate in certificates:
         assert certificate.conflict[0][1] != certificate.conflict[1][1]
@@ -145,7 +152,7 @@ def test_criterion_9_lattice():
     relations = canonical_relations()
     assert len(relations) == 3
     for _, lhs, rhs in relations:
-        assert check_relation(lhs, rhs)
+        assert not any(relation_residual(lhs, rhs))
     assert derive_albanese_genus2_pairing().value == 4
 
 
@@ -158,13 +165,13 @@ def test_criterion_10_cover_families():
 
 @pytest.mark.criterion(11, "branch pipeline numbers")
 def test_criterion_11_branch_pipeline():
-    steps = derive_branch_class()
-    assert branch_value(steps, "branch class") == FeClass(2, 6, 22)
-    assert branch_value(steps, "positive branch part") == FeClass(2, 6, 15)
+    steps = dict(derive_branch_class())
+    assert steps["branch class"] == FeClass(2, 6, 22)
+    assert steps["positive branch part"] == FeClass(2, 6, 15)
     assert fe_chi(FeClass(2, 2, 6)) == 15
-    images = derive_image_classes()
-    assert branch_value(images, "albanese image") == FeClass(2, 4, 12)
-    assert branch_value(images, "bicanonical image") == FeClass(2, 2, 7)
+    images = dict(derive_image_classes())
+    assert images["albanese image"] == FeClass(2, 4, 12)
+    assert images["bicanonical image"] == FeClass(2, 2, 7)
     assert fe_genus(FeClass(2, 2, 7)) == 4
     assert fe_pair(FeClass(2, 2, 5), FeClass(2, 2, 7)) == 16
 

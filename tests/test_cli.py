@@ -43,7 +43,8 @@ def test_verify_json_shape(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["version", "torsion_level", "summary", "results"]
     assert payload["torsion_level"] == 24
-    assert payload["summary"] == {"pass": 6, "fail": 0, "skip": 0}
+    assert payload["summary"] == {"pass": 6, "fail": 0, "skip": 0,
+                                  "error": 0}
     first = payload["results"][0]
     assert list(first) == ["suite", "check_id", "paper_ref", "status",
                            "expected", "actual", "millis"]
@@ -146,7 +147,8 @@ def test_empty_report_renders(capsys):
     from trisect.report import render_json, render_markdown
     report = run_checks([], 24)
     payload = json.loads(render_json(report))
-    assert payload["summary"] == {"pass": 0, "fail": 0, "skip": 0}
+    assert payload["summary"] == {"pass": 0, "fail": 0, "skip": 0,
+                                  "error": 0}
     assert payload["results"] == []
     assert render_markdown(report).startswith("# Verification report")
 
@@ -167,6 +169,28 @@ def test_failure_exit_code(monkeypatch, capsys):
     assert main(["verify"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["fail"] == 1
+
+
+def test_raising_check_is_reported_and_the_rest_run(monkeypatch, capsys):
+    def raises(level):
+        raise ZeroDivisionError("inverse of zero in Q(w)")
+    checks = [Check("field", "raises", "eisenstein-arithmetic", raises),
+              Check("field", "passes", "eisenstein-arithmetic",
+                    lambda level: (1, 1))]
+    report = run_checks(checks, 24)
+    assert [r.status for r in report.results] == ["ERROR", "PASS"]
+    assert report.results[0].expected is None
+    assert (report.results[0].actual
+            == "ZeroDivisionError: inverse of zero in Q(w)")
+    assert report.summary == {"pass": 1, "fail": 0, "skip": 0, "error": 1}
+    monkeypatch.setattr("trisect.cli.run_verify",
+                        lambda suites, level: report)
+    assert main(["verify"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"][0]["expected"] is None
+    assert main(["verify", "--format", "markdown"]) == 1
+    assert "1 passed, 0 failed, 1 raised an error, 0 skipped." in (
+        capsys.readouterr().out)
 
 
 def test_eval_worked_examples(capsys):

@@ -20,7 +20,6 @@ from trisect.covers import (
     bicanonical_degree_options,
     branch_multiplicity_table,
     branch_relations,
-    branch_value,
     derive_branch_class,
     derive_image_classes,
     double_cover_invariants,
@@ -132,20 +131,18 @@ def test_double_cover_parity_guard():
 # ---------------------------------------------------------------------------
 
 def test_branch_class_pipeline():
-    steps = derive_branch_class()
-    assert branch_value(steps, "h0(K + 2G)") == 4
-    assert branch_value(steps, "base points") == 7
-    assert branch_value(steps, "quadric model degree") == 4
-    assert branch_value(steps, "h0(K + 3G)") == 6
-    assert branch_value(steps, "sextic model degree") == 8
-    assert branch_value(steps, "branch class") == FeClass(2, 6, 22)
-    assert branch_value(steps, "positive branch part") == FeClass(2, 6, 15)
-    assert branch_value(steps, "branch component") == FeClass(2, 2, 5)
-    assert branch_value(steps, "component arithmetic genus") == 2
-    assert branch_value(steps, "section branch points") == 10
-    assert branch_value(steps, "canonical curve genus") == 4
-    with pytest.raises(KeyError):
-        branch_value(steps, "no such step")
+    steps = dict(derive_branch_class())
+    assert steps["h0(K + 2G)"] == 4
+    assert steps["base points"] == 7
+    assert steps["quadric model degree"] == 4
+    assert steps["h0(K + 3G)"] == 6
+    assert steps["sextic model degree"] == 8
+    assert steps["branch class"] == FeClass(2, 6, 22)
+    assert steps["positive branch part"] == FeClass(2, 6, 15)
+    assert steps["branch component"] == FeClass(2, 2, 5)
+    assert steps["component arithmetic genus"] == 2
+    assert steps["section branch points"] == 10
+    assert steps["canonical curve genus"] == 4
 
 
 def test_branch_table_consistency():
@@ -177,13 +174,13 @@ def test_malformed_branch_table_label_raises_under_optimize(tmp_path):
 
 
 def test_image_classes():
-    steps = derive_image_classes()
-    assert branch_value(steps, "albanese image") == FeClass(2, 4, 12)
-    assert branch_value(steps, "albanese multiplicities") == {"x": 2, "m": 1, "n": 3}
-    assert branch_value(steps, "bicanonical image") == FeClass(2, 2, 7)
-    assert branch_value(steps, "hyperplane section genus") == 4
-    assert branch_value(steps, "bicanonical image degree") == 6
-    assert branch_value(steps, "multiple-line class sections") == 15
+    steps = dict(derive_image_classes())
+    assert steps["albanese image"] == FeClass(2, 4, 12)
+    assert steps["albanese multiplicities"] == {"x": 2, "m": 1, "n": 3}
+    assert steps["bicanonical image"] == FeClass(2, 2, 7)
+    assert steps["hyperplane section genus"] == 4
+    assert steps["bicanonical image degree"] == 6
+    assert steps["multiple-line class sections"] == 15
 
 
 def test_albanese_image_meets_components_only_at_base_points():
@@ -192,11 +189,11 @@ def test_albanese_image_meets_components_only_at_base_points():
     lying in fibres the other fixed).  So the full intersection degree on
     the Hirzebruch surface must equal the sum over those points of the
     products of the two multiplicity tables."""
-    image_steps = derive_image_classes()
-    branch_steps = derive_branch_class()
-    alb = branch_value(image_steps, "albanese image")
-    alb_mult = branch_value(image_steps, "albanese multiplicities")
-    comp = branch_value(branch_steps, "branch component")
+    image_steps = dict(derive_image_classes())
+    branch_steps = dict(derive_branch_class())
+    alb = image_steps["albanese image"]
+    alb_mult = image_steps["albanese multiplicities"]
+    comp = branch_steps["branch component"]
     for row in branch_multiplicity_table():
         x_part = alb_mult["x"] * sum(row[:6])
         m_part = alb_mult["m"] * 4 * row[6]

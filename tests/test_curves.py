@@ -3,9 +3,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trisect.curves import (INFINITE, Form, ProjPoint, fulton_mult,
-                            is_singular_at, line_intersection, linear_form,
-                            parse_form)
+                            line_intersection, linear_form, parse_form)
 from trisect.field import Eis, W
+
+from helpers import is_singular_at
 
 
 X0 = linear_form(1, 0, 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisect.curves import Form
 from trisect.field import Eis, W, parse_eis, w_pow
 
 
@@ -86,6 +87,15 @@ fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 def test_parse_round_trip(a, b):
     x = Eis(a, b)
     assert parse_eis(str(x)) == x
+
+
+def test_floats_are_refused():
+    # Eis(0.1) would otherwise be 3602879701896397/36028797018963968
+    for args in ((0.1,), (1, 0.5), (0.0, 0)):
+        with pytest.raises(TypeError):
+            Eis(*args)
+    with pytest.raises(TypeError):
+        Form({(1, 0, 0): 0.5})
 
 
 def test_parse_variants_and_errors():

@@ -1,14 +1,19 @@
 from fractions import Fraction
+from itertools import combinations
 
-from trisect.curves import Form, fulton_mult, is_singular_at, parse_form
+from trisect.checks import build_checks
+from trisect.curves import Form, fulton_mult, parse_form
 from trisect.field import Eis, W, w_pow
-from trisect.heisenberg import (DEGREE3_MONOMIALS, NONZERO_CHARS, act,
-                                act_sigma, act_tau, base_points, char_class,
-                                character_projection, decompose_degree3,
-                                expected_pair_pattern, in_pencil,
-                                pencil_generators, printed_eigencubics,
+from trisect.heisenberg import (DEGREE3_MONOMIALS, NONZERO_CHARS,
+                                TRIANGLE_CLASSES, act, act_sigma, act_tau,
+                                char_class, character_projection,
+                                contains_vertices, decompose_degree3,
+                                expected_pair_pattern, printed_eigencubics,
                                 triangles, verify_pencil_pairs,
                                 verify_vertex_containment)
+from trisect.report import run_checks
+
+from helpers import base_points, in_pencil, is_singular_at, pencil_generators
 
 X0 = parse_form("x0")
 X1 = parse_form("x1")
@@ -88,7 +93,8 @@ def test_each_triangle_side_carries_three_base_points():
 
 
 def test_vertex_containment_claims():
-    checks = verify_vertex_containment()
+    checks = [verify_vertex_containment(char, tri)
+              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
     assert len(checks) == 32
     assert all(c.ok for c in checks)
     contained = [c for c in checks if c.expected_contained]
@@ -96,8 +102,27 @@ def test_vertex_containment_claims():
     assert all(c.vertex_mults == (3, 3, 3) for c in contained)
 
 
+def test_each_row_makes_its_own_multiplicity_calls(monkeypatch):
+    # rows run in reverse order, so none can find a sibling's work cached:
+    # a vertex row intersects at the triangle's three vertices, a pair row
+    # at all twelve
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fulton_mult(*args)
+    monkeypatch.setattr("trisect.heisenberg.fulton_mult", counted)
+    for check in reversed(build_checks(("heisenberg",))):
+        before = len(calls)
+        (result,) = run_checks([check], 24).results
+        assert result.status == "PASS"
+        family = check.check_id.split("-")[0]
+        assert len(calls) - before == {"vertex": 3, "pair": 12}.get(family, 0)
+
+
 def test_pencil_pair_claims():
-    checks = verify_pencil_pairs()
+    checks = [verify_pencil_pairs(c1, c2)
+              for c1, c2 in combinations(NONZERO_CHARS, 2)]
     assert len(checks) == 28
     assert all(c.ok for c in checks)
     assert all(c.total == c.bezout == 9 for c in checks)
@@ -125,6 +150,13 @@ def test_single_printed_multiplicity():
     assert v in tri.vertices
     assert fulton_mult(eigen[(1, 0)][0], tri.product, v) == 0
     assert fulton_mult(eigen[(0, 1)][0], tri.product, v) == 3
+
+
+def test_containment_rule():
+    assert not contains_vertices((1, 0), (1, 0))
+    assert not contains_vertices((2, 0), (1, 0))
+    assert contains_vertices((1, 0), (0, 1))
+    assert contains_vertices((2, 2), (1, 2))
 
 
 def test_char_class():

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
                              THREE_TORSION, XI, AffineMap,
                              InsufficientLevelError, Locus, TorsionPt, Triple,
-                             build_intersection_table, check_level,
-                             common_fibre_classes, contains_locus,
-                             curve_locus, curve_triples, enumerate_base_points,
-                             expected_base_points, fibre_intersection_rule,
-                             grid, intersect_loci, intersection_term,
-                             locus_A, locus_B, locus_D, locus_F, locus_Gamma,
-                             locus_M, locus_N, locus_Y, locus_line, member,
-                             printed_intersection_table, solve_linear,
-                             _surface_triples)
+                             check_level, common_fibre_classes,
+                             contains_locus, curve_locus, curve_triples,
+                             enumerate_base_points, expected_base_points,
+                             fibre_intersection_rule, grid, intersect_loci,
+                             intersection_term, locus_A, locus_D, locus_F,
+                             locus_Gamma, locus_N, locus_Y, locus_line, member,
+                             printed_intersection_table, solve_linear)
+
+from helpers import build_intersection_table, locus_B, locus_M
 
 
 # --- the torsion group ------------------------------------------------------
@@ -141,26 +141,22 @@ def test_surface_membership_closed_forms():
     assert not member(locus_Y(), Triple.of(XI[1], XI[2], ETA[1]))
 
 
-def test_surface_enumeration_matches_brute_force_at_level_6():
-    brute = {t for t in (Triple.of(p, q, r) for p, q, r
-                         in product(grid(6), repeat=3))}
-    y = {t for t in brute if member(locus_Y(), t)}
-    assert _surface_triples(locus_Y(), 6) == y
-    d = {t for t in brute if member(locus_D(XI[1]), t)}
-    assert _surface_triples(locus_D(XI[1]), 6) == d
-    f = {t for t in brute if member(locus_F(ETA[1]), t)}
-    assert _surface_triples(locus_F(ETA[1]), 6) == f
-
-
 def test_intersect_loci_dual_route():
-    # curve-first then surface-membership must agree with surface-first then
-    # curve-membership
-    for curve in (locus_N(ETA[1]), locus_A(2), locus_Gamma()):
-        for surface in (locus_D(XI[1]), locus_F(ORIGIN), locus_Y()):
+    # the curve's enumerated triples that lie on the surface must be exactly
+    # the triples of E[6]^3, found by brute force, that lie on both
+    brute = {Triple.of(p, q, r) for p, q, r in product(grid(6), repeat=3)}
+    for surface in (locus_D(XI[1]), locus_F(ORIGIN), locus_Y()):
+        on_surface = [t for t in brute if member(surface, t)]
+        for curve in (locus_N(ETA[1]), locus_A(2), locus_Gamma()):
             fast = intersect_loci(curve, surface, 6)
-            slow = frozenset(t for t in _surface_triples(surface, 6)
-                             if member(curve, t))
+            slow = frozenset(t for t in on_surface if member(curve, t))
             assert fast == slow
+            assert intersect_loci(surface, curve, 6) == fast
+
+
+def test_intersect_loci_needs_a_curve():
+    with pytest.raises(ValueError):
+        intersect_loci(locus_D(XI[1]), locus_F(ORIGIN), 6)
 
 
 def test_intersect_loci_insufficient_level():
