@@ -13,7 +13,7 @@ import time
 from trisect.checks import run_verify
 from trisect.torsion import enumerate_base_points
 
-LEVELS = (6, 12, 18, 24, 30, 36, 48)
+LEVELS = (6, 12, 18, 24, 30, 36, 48, 96, 192, 384, 768)
 
 
 def main() -> None:

@@ -301,7 +301,12 @@ def member(locus: Locus, triple: Triple) -> bool:
 
 
 def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
-    """Triples of E[m]^3 lying on both loci, at least one of them a curve."""
+    """Triples of E[m]^3 lying on both loci, at least one of them a curve.
+
+    A surface meets a curve where one of the surface's linear conditions
+    a*x = t holds at the curve parameter x: the coset of solutions, exact at
+    any level, with its images filtered to E[m] as in `curve_triples`.
+    """
     check_level(m)
     for locus in (l1, l2):
         if m % locus.constants_level():
@@ -311,33 +316,62 @@ def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
         l1, l2 = l2, l1
     if l1.kind != CURVE1:
         raise ValueError(f"no curve locus to intersect: {l1} and {l2}")
-    return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
+    if l2.kind == CURVE1:
+        return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
+    if contains_locus(l2, l1):
+        return curve_triples(l1, m)
+    out = set()
+    for a, t in _conditions(l2, l1):
+        if a == 0:
+            continue  # 0*x = t with t != 0, as the curve is not contained
+        for x in coset(a, t):
+            pts = tuple(mp(x) for mp in l1.maps)
+            if all(m % p.level == 0 for p in pts):
+                out.add(Triple.of(*pts))
+    return frozenset(out)
+
+
+def _conditions(surface: Locus, curve: Locus) -> list:
+    """The surface's defining condition on the curve parameter x, as linear
+    equations a*x = t, any one of which puts the image triple on the surface.
+
+    With the curve's maps x -> s_i + k_i*x: D_u needs k_i*x = u - s_i for
+    some i, F_u needs (sum k)*x = u - (sum s), and Y needs
+    (k_i - k_j - k_k)*x = s_j + s_k - s_i for the summed point i.
+    """
+    maps = curve.maps
+    if surface.kind == SURFACE_D:
+        return [(mp.mult, surface.anchor - mp.shift) for mp in maps]
+    if surface.kind == SURFACE_F:
+        return [(sum(mp.mult for mp in maps),
+                 surface.anchor - (maps[0].shift + maps[1].shift + maps[2].shift))]
+    if surface.kind == SURFACE_Y:
+        return [(maps[i].mult - maps[j].mult - maps[k].mult,
+                 maps[j].shift + maps[k].shift - maps[i].shift)
+                for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    raise ValueError(f"not a surface locus: {surface}")
 
 
 def contains_locus(surface: Locus, curve: Locus) -> bool:
     """Exact symbolic test that a curve locus lies inside a surface locus.
 
-    Correctness does not depend on any working level: each criterion states
-    that the defining identity holds as an identity of affine maps, and a
-    failed identity can hold at only finitely many parameters (a proper
-    coset), never on the whole curve.
+    Correctness does not depend on any working level: the curve lies in the
+    surface exactly when one of the surface's linear conditions is the
+    identity 0*x = 0, and a condition a*x = t with a != 0 holds only on a
+    coset of E[|a|], never on the whole curve.
     """
     if curve.kind != CURVE1:
         raise ValueError("contains_locus expects a CURVE1 second argument")
-    maps = curve.maps
-    if surface.kind == SURFACE_D:
-        return any(mp.mult == 0 and mp.shift == surface.anchor for mp in maps)
-    if surface.kind == SURFACE_F:
-        total_mult = sum(mp.mult for mp in maps)
-        total_shift = maps[0].shift + maps[1].shift + maps[2].shift
-        return total_mult == 0 and total_shift == surface.anchor
-    if surface.kind == SURFACE_Y:
-        for i, j, k in permutations(range(3)):
-            if (maps[i].mult == maps[j].mult + maps[k].mult
-                    and maps[i].shift == maps[j].shift + maps[k].shift):
-                return True
-        return False
-    raise ValueError(f"not a surface locus: {surface}")
+    return any(a == 0 and t == ORIGIN for a, t in _conditions(surface, curve))
+
+
+def coset(a: int, t: TorsionPt) -> list:
+    """Every torsion point x with a*x = t, for a != 0: the coset
+    t/a + E[|a|], whose points lie in E[|a| * order(t)]."""
+    n, sign = abs(a), (1 if a > 0 else -1)
+    return [TorsionPt.make(n * t.level, sign * t.a + i * t.level,
+                           sign * t.b + j * t.level)
+            for i in range(n) for j in range(n)]
 
 
 def solve_linear(a: int, t: TorsionPt, m: int = DEFAULT_LEVEL) -> frozenset:
@@ -357,7 +391,7 @@ def solve_linear(a: int, t: TorsionPt, m: int = DEFAULT_LEVEL) -> frozenset:
     if m % needed:
         raise InsufficientLevelError(
             f"solutions of {a}*x = {t} live in E[{needed}], not complete in E[{m}]")
-    return frozenset(x for x in grid(m) if a * x == t)
+    return frozenset(coset(a, t))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,26 @@ def test_raising_check_is_reported_and_the_rest_run(monkeypatch, capsys):
         capsys.readouterr().out)
 
 
+def test_unrenderable_value_is_reported_and_the_rest_run(monkeypatch, capsys):
+    checks = [Check("field", "floats", "eisenstein-arithmetic",
+                    lambda level: (0.5, 0.5)),
+              Check("field", "passes", "eisenstein-arithmetic",
+                    lambda level: (1, 1))]
+    report = run_checks(checks, 24)
+    assert [r.status for r in report.results] == ["ERROR", "PASS"]
+    assert report.results[0].expected is None
+    assert (report.results[0].actual
+            == "TypeError: floating point has no place in a report")
+    monkeypatch.setattr("trisect.cli.run_verify",
+                        lambda suites, level: report)
+    assert main(["verify"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in payload["results"]] == ["ERROR", "PASS"]
+    assert main(["verify", "--format", "markdown"]) == 1
+    assert "1 passed, 0 failed, 1 raised an error, 0 skipped." in (
+        capsys.readouterr().out)
+
+
 def test_eval_worked_examples(capsys):
     assert main(["eval", "chi E(3): 4D - F"]) == 0
     assert capsys.readouterr().out == "5\n"

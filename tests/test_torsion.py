@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -76,6 +77,7 @@ def test_solve_linear_matches_coset_oracle():
                 m *= 2 if m % 2 else 3
             sols = solve_linear(a, t, m)
             assert sols == _coset_oracle(a, t)
+            assert sols == frozenset(x for x in grid(m) if a * x == t)
             assert len(sols) == a * a
 
 
@@ -152,6 +154,88 @@ def test_intersect_loci_dual_route():
             slow = frozenset(t for t in on_surface if member(curve, t))
             assert fast == slow
             assert intersect_loci(surface, curve, 6) == fast
+
+
+def _enumerated(curve, surface, m):
+    """The second route: every triple of the curve in E[m]^3, tested for
+    membership of the surface."""
+    return frozenset(t for t in curve_triples(curve, m) if member(surface, t))
+
+
+# multipliers -3..3, zero included; the lcm of the nonzero ones sets the
+# size of the enumeration, so level 48 takes only the cheap ones
+COSET_ROUTE_MULTS = {
+    6: [(1, -1, 0), (2, -3, 1), (3, 0, -2), (-1, -1, 2), (0, 0, 0),
+        (3, 3, -3), (-2, 1, 1), (2, 2, 0), (0, -3, 0), (1, 1, 1)],
+    12: [(1, -1, 0), (2, -3, 1), (-3, 0, 2), (-2, 1, 1), (0, 0, 0)],
+    24: [(1, 2, -1), (0, 3, -3), (-1, 0, 0)],
+    48: [(1, -1, 0), (2, 0, -2), (1, 1, -2)],
+}
+
+
+def _coset_route_cases():
+    """(curve, surface, level): seeded curves against D, F and Y with free
+    anchors and anchors on the curve, then named curves inside a surface."""
+    rng = random.Random(4)
+    sixth = list(grid(6))
+    for m, mult_list in COSET_ROUTE_MULTS.items():
+        points = list(grid(12 if m % 12 == 0 else 6))
+        for mults in mult_list:
+            for _ in range(2):
+                shifts = [rng.choice(sixth) for _ in mults]
+                curve = curve_locus(f"c{mults}", zip(shifts, mults))
+                x = rng.choice(points)
+                images = [s + k * x for s, k in zip(shifts, mults)]
+                for surface in (locus_Y(), locus_D(rng.choice(points)),
+                                locus_F(rng.choice(points)),
+                                locus_D(rng.choice(images)),
+                                locus_F(images[0] + images[1] + images[2]),
+                                locus_D(shifts[0]),
+                                locus_F(shifts[0] + shifts[1] + shifts[2])):
+                    yield curve, surface, m
+    constant = curve_locus("const", ((XI[1], 0), (ETA[2], 0), (ORIGIN, 0)))
+    for m in (6, 12, 24):
+        for i in (1, 2, 3):
+            yield locus_A(i), locus_F(XI[i]), m
+            yield locus_A(i), locus_D(XI[i]), m
+            yield locus_line(i), locus_Y(), m
+        yield constant, locus_D(ETA[2]), m
+        yield constant, locus_D(ETA[1]), m
+
+
+def test_coset_route_matches_enumeration(monkeypatch):
+    enumerated = []
+    monkeypatch.setattr("trisect.torsion.curve_triples",
+                        lambda curve, m: enumerated.append(curve)
+                        or curve_triples(curve, m))
+    whole_curves = cases = 0
+    for curve, surface, m in _coset_route_cases():
+        enumerated.clear()
+        fast = intersect_loci(curve, surface, m)
+        assert fast == _enumerated(curve, surface, m), (curve.maps, surface, m)
+        assert intersect_loci(surface, curve, m) == fast
+        # the enumeration is reached only for a curve inside the surface
+        assert bool(enumerated) == contains_locus(surface, curve)
+        whole_curves += bool(enumerated)
+        cases += 1
+    assert 0 < whole_curves < cases
+
+
+def test_coset_route_work_is_independent_of_level(monkeypatch):
+    make = TorsionPt.make
+    calls = []
+
+    def counted(level, a, b):
+        calls.append(level)
+        return make(level, a, b)
+    monkeypatch.setattr(TorsionPt, "make", staticmethod(counted))
+    counts = []
+    for m in (24, 768):
+        calls.clear()
+        got = intersect_loci(locus_N(ETA[1]), locus_D(ORIGIN), m)
+        assert got == frozenset((Triple.of(ORIGIN, ETA[1], 2 * ETA[1]),))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_intersect_loci_needs_a_curve():
@@ -258,7 +342,8 @@ def test_base_point_enumeration():
 def test_base_points_are_level_stable():
     at_24 = enumerate_base_points(24).base_points
     at_48 = enumerate_base_points(48).base_points
-    assert at_24 == at_48
+    at_384 = enumerate_base_points(384).base_points
+    assert at_24 == at_48 == at_384
 
 
 # --- property tests ----------------------------------------------------------
