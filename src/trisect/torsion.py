@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import gcd, lcm
 
 from .fixtures import load_entries
@@ -143,9 +143,6 @@ class Triple:
         p, q, r = self.points
         return p + q + r
 
-    def level(self) -> int:
-        return lcm(*(p.level for p in self.points))
-
     def __str__(self):
         return "{" + " + ".join(str(p) for p in self.points) + "}"
 
@@ -170,7 +167,10 @@ class AffineMap:
     mult: int
 
     def __call__(self, x: TorsionPt) -> TorsionPt:
-        return self.shift + self.mult * x
+        s = self.shift
+        m = lcm(s.level, x.level)
+        u, v = m // s.level, self.mult * (m // x.level)
+        return TorsionPt.make(m, s.a * u + v * x.a, s.b * u + v * x.b)
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,10 @@ class Locus:
         if self.anchor is not None:
             levels.append(self.anchor.level)
         return lcm(*levels) if levels else 1
+
+    def mult_gcd(self) -> int:
+        """The gcd of a curve's multipliers, 1 if all are 0."""
+        return gcd(*(mp.mult for mp in self.maps)) or 1
 
     def __str__(self):
         return self.label
@@ -248,28 +252,31 @@ def locus_Gamma() -> Locus:
 # Enumeration and membership
 # ---------------------------------------------------------------------------
 
+def _triples(curve: Locus, m: int, params) -> frozenset:
+    """The curve's triples at the parameters x = (i, j)/(d*m) for (i, j) in
+    `params`, with d the gcd of the multipliers k (see `Locus.mult_gcd`).
+
+    These are the parameters whose three images lie in E[m]: the points k*x
+    all lie in E[m] exactly when d*x does, as d is an integer combination of
+    the k.  With y = d*x = (i, j)/m, an image is s + (k/d)*y."""
+    d = curve.mult_gcd()
+    maps = [(*mp.shift.coords_at(m), mp.mult // d) for mp in curve.maps]
+    make = TorsionPt.make
+    return frozenset(Triple.of(*[make(m, sa + c * i, sb + c * j)
+                                 for sa, sb, c in maps]) for i, j in params)
+
+
 @lru_cache(maxsize=None)
 def curve_triples(locus: Locus, m: int) -> frozenset:
-    """All triples of the curve whose three points lie in E[m].
-
-    The parameter runs over E[g*m] with g the lcm of the nonzero multipliers,
-    and images are filtered to E[m]; any qualifying triple arises from such a
-    parameter, so the enumeration is complete.
-    """
+    """All triples of the curve whose three points lie in E[m]."""
     check_level(m)
     if locus.kind != CURVE1:
         raise ValueError("curve_triples expects a CURVE1 locus")
-    if locus.constants_level() and m % locus.constants_level():
+    if m % locus.constants_level():
         raise InsufficientLevelError(
             f"{locus} has constants of level {locus.constants_level()}, not visible in E[{m}]")
-    mults = [abs(mp.mult) for mp in locus.maps if mp.mult]
-    g = lcm(*mults) if mults else 1
-    out = set()
-    for x in grid(g * m):
-        pts = tuple(mp(x) for mp in locus.maps)
-        if all(m % p.level == 0 for p in pts):
-            out.add(Triple.of(*pts))
-    return frozenset(out)
+    # x -> d*x maps the m^2 parameters (i, j)/(d*m) onto E[m]: every triple
+    return _triples(locus, m, product(range(m), repeat=2))
 
 
 def member(locus: Locus, triple: Triple) -> bool:
@@ -281,23 +288,14 @@ def member(locus: Locus, triple: Triple) -> bool:
         return triple.total == locus.anchor
     if locus.kind == SURFACE_Y:
         return p == q + r or q == p + r or r == p + q
-    # CURVE1: find the parameter through a unit-multiplier map, or fall back
-    # to a complete bounded search.
-    unit = next((k for k, mp in enumerate(locus.maps) if mp.mult in (1, -1)), None)
-    if unit is not None:
-        mp = locus.maps[unit]
-        for perm in permutations(triple.points):
-            x = (perm[unit] - mp.shift) * (1 if mp.mult == 1 else -1)
-            if Triple.of(*(m_(x) for m_ in locus.maps)) == triple:
-                return True
-        return False
-    bound = triple.level()
-    for mp in locus.maps:
-        bound = lcm(bound, mp.shift.level)
-    mults = [abs(mp.mult) for mp in locus.maps if mp.mult]
-    bound *= lcm(*mults) if mults else 1
-    return any(Triple.of(*(mp(x) for mp in locus.maps)) == triple
-               for x in grid(bound))
+    # CURVE1: a map x -> s + k*x with k != 0 sends the parameter to one of
+    # the triple's points p, so the parameter solves k*x = p - s.
+    moving = [mp for mp in locus.maps if mp.mult]
+    if not moving:
+        return Triple.of(*(mp.shift for mp in locus.maps)) == triple
+    mp = min(moving, key=lambda f: abs(f.mult))
+    return any(Triple.of(*(f(x) for f in locus.maps)) == triple
+               for pt in triple.points for x in coset(mp.mult, pt - mp.shift))
 
 
 def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
@@ -305,7 +303,7 @@ def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
 
     A surface meets a curve where one of the surface's linear conditions
     a*x = t holds at the curve parameter x: the coset of solutions, exact at
-    any level, with its images filtered to E[m] as in `curve_triples`.
+    any level, with the solutions whose images lie in E[m] kept.
     """
     check_level(m)
     for locus in (l1, l2):
@@ -318,17 +316,15 @@ def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
         raise ValueError(f"no curve locus to intersect: {l1} and {l2}")
     if l2.kind == CURVE1:
         return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
-    if contains_locus(l2, l1):
+    conditions = _conditions(l2, l1)
+    if (0, ORIGIN) in conditions:  # the curve lies inside the surface
         return curve_triples(l1, m)
-    out = set()
-    for a, t in _conditions(l2, l1):
-        if a == 0:
-            continue  # 0*x = t with t != 0, as the curve is not contained
-        for x in coset(a, t):
-            pts = tuple(mp(x) for mp in l1.maps)
-            if all(m % p.level == 0 for p in pts):
-                out.add(Triple.of(*pts))
-    return frozenset(out)
+    # a == 0 conditions read 0*x = t with t != 0, as the curve is not inside;
+    # solutions x with the same y = d*x (see `_triples`) share a triple
+    n = l1.mult_gcd() * m
+    return _triples(l1, m, {(i % m, j % m) for a, t in conditions if a
+                            for x in coset(a, t) if n % x.level == 0
+                            for i, j in [x.coords_at(n)]})
 
 
 def _conditions(surface: Locus, curve: Locus) -> list:
@@ -362,7 +358,7 @@ def contains_locus(surface: Locus, curve: Locus) -> bool:
     """
     if curve.kind != CURVE1:
         raise ValueError("contains_locus expects a CURVE1 second argument")
-    return any(a == 0 and t == ORIGIN for a, t in _conditions(surface, curve))
+    return (0, ORIGIN) in _conditions(surface, curve)
 
 
 def coset(a: int, t: TorsionPt) -> list:

@@ -1,11 +1,14 @@
 """Constructions only the tests use: oracles and extra loci built from the
 library's public pieces."""
 
+from functools import lru_cache
+from math import lcm
+
 from trisect.curves import Form, ProjPoint
 from trisect.field import Eis, w_pow
 from trisect.heisenberg import printed_eigencubics
-from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus,
-                             curve_locus, fibre_intersection_rule)
+from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus, Triple,
+                             curve_locus, fibre_intersection_rule, grid)
 
 
 # --- plane curves -----------------------------------------------------------
@@ -51,6 +54,44 @@ def base_points() -> tuple[ProjPoint, ...]:
 
 
 # --- torsion loci and the fibre table ---------------------------------------
+
+def triple_level(triple: Triple) -> int:
+    """The least level M with all three points of the triple in E[M]."""
+    return lcm(*(p.level for p in triple.points))
+
+
+def _images(curve: Locus, x) -> Triple:
+    """The curve's triple at the parameter x, through the group law."""
+    return Triple.of(*(mp.shift + mp.mult * x for mp in curve.maps))
+
+
+def _lcm_of_mults(curve: Locus) -> int:
+    return lcm(*(abs(mp.mult) for mp in curve.maps if mp.mult))
+
+
+@lru_cache(maxsize=None)
+def curve_triples_oracle(curve: Locus, m: int) -> frozenset:
+    """Brute force for `torsion.curve_triples`: the parameter runs over
+    E[g*m] with g the lcm of the nonzero multipliers, and the images are
+    filtered to E[m].  A parameter x with k*x in E[m] lies in E[|k|*m], so
+    every triple in E[m]^3 arises."""
+    out = set()
+    for x in grid(_lcm_of_mults(curve) * m):
+        t = _images(curve, x)
+        if all(m % p.level == 0 for p in t.points):
+            out.add(t)
+    return frozenset(out)
+
+
+def member_oracle(curve: Locus, triple: Triple) -> bool:
+    """Brute force for `torsion.member` on a curve: a parameter x with
+    k*x = p - s for a point p of the triple and a map's shift s lies in
+    E[|k|*b], b the lcm of the levels of the triple and the shifts, so a
+    search of E[g*b] is complete (g as in `curve_triples_oracle`)."""
+    bound = lcm(triple_level(triple), *(mp.shift.level for mp in curve.maps))
+    return any(_images(curve, x) == triple
+               for x in grid(_lcm_of_mults(curve) * bound))
+
 
 def locus_M(i: int) -> Locus:
     """Triples {x, eta_i, 2 eta_i}: a moving point plus a fixed three-torsion

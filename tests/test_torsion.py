@@ -16,7 +16,8 @@ from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
                              locus_Gamma, locus_N, locus_Y, locus_line, member,
                              printed_intersection_table, solve_linear)
 
-from helpers import build_intersection_table, locus_B, locus_M
+from helpers import (build_intersection_table, curve_triples_oracle, locus_B,
+                     locus_M, member_oracle, triple_level)
 
 
 # --- the torsion group ------------------------------------------------------
@@ -50,7 +51,7 @@ def test_triple_is_unordered_and_level_free():
     t2 = Triple.of(TorsionPt.make(24, 0, 16), TorsionPt.make(6, 0, 2), ORIGIN)
     assert t1 == t2
     assert t1.total == ORIGIN
-    assert t1.level() == 3
+    assert triple_level(t1) == 3
 
 
 def test_check_level():
@@ -157,9 +158,10 @@ def test_intersect_loci_dual_route():
 
 
 def _enumerated(curve, surface, m):
-    """The second route: every triple of the curve in E[m]^3, tested for
-    membership of the surface."""
-    return frozenset(t for t in curve_triples(curve, m) if member(surface, t))
+    """The second route: every triple of the curve in E[m]^3, by brute
+    force, tested for membership of the surface."""
+    return frozenset(t for t in curve_triples_oracle(curve, m)
+                     if member(surface, t))
 
 
 # multipliers -3..3, zero included; the lcm of the nonzero ones sets the
@@ -221,7 +223,9 @@ def test_coset_route_matches_enumeration(monkeypatch):
     assert 0 < whole_curves < cases
 
 
-def test_coset_route_work_is_independent_of_level(monkeypatch):
+@pytest.fixture
+def make_calls(monkeypatch):
+    """The level of each `TorsionPt.make` call the test makes."""
     make = TorsionPt.make
     calls = []
 
@@ -229,13 +233,61 @@ def test_coset_route_work_is_independent_of_level(monkeypatch):
         calls.append(level)
         return make(level, a, b)
     monkeypatch.setattr(TorsionPt, "make", staticmethod(counted))
+    return calls
+
+
+def test_coset_route_work_is_independent_of_level(make_calls):
     counts = []
     for m in (24, 768):
-        calls.clear()
+        make_calls.clear()
         got = intersect_loci(locus_N(ETA[1]), locus_D(ORIGIN), m)
         assert got == frozenset((Triple.of(ORIGIN, ETA[1], 2 * ETA[1]),))
-        counts.append(len(calls))
+        counts.append(len(make_calls))
     assert counts[0] == counts[1]
+
+
+# multipliers -3..3: a unit, no unit ({2, 3, -2}, {2, -2, 0}, {3, 0, 0}) or
+# all zero; the oracles walk E[lcm*m], so the lcm falls as the level rises
+# and level 48 takes curves with a unit multiplier only
+DIFFERENTIAL_MULTS = {
+    6: [(2, 3, -2), (2, -2, 0), (3, 0, 0), (0, 0, 0), (1, -3, 2), (-1, 1, 1)],
+    12: [(2, 3, -2), (2, -2, 0), (3, 0, 0), (0, 0, 0), (-1, 2, 0), (1, 1, 1)],
+    24: [(2, -2, 0), (3, 0, 0), (0, 0, 0), (1, -1, 2)],
+    48: [(1, -1, 0), (-1, 1, 1)],
+}
+
+
+def test_enumeration_and_membership_match_brute_force():
+    rng = random.Random(7)
+    sixth = list(grid(6))
+    verdicts = set()
+    for m, mult_list in DIFFERENTIAL_MULTS.items():
+        for mults in mult_list:
+            curve = curve_locus(f"d{mults}",
+                                [(rng.choice(sixth), k) for k in mults])
+            triples = curve_triples(curve, m)
+            assert triples == curve_triples_oracle(curve, m), (mults, m)
+            # members, a member with one point moved, and free triples
+            candidates = rng.sample(sorted(triples), min(2, len(triples)))
+            p, q, r = candidates[0].points
+            candidates.append(Triple.of(p, q, r + rng.choice(THREE_TORSION)))
+            candidates += [Triple.of(*rng.sample(sixth, 3)) for _ in range(2)]
+            for t in candidates:
+                got = member(curve, t)
+                assert got == member_oracle(curve, t), (mults, t)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_enumeration_work_is_independent_of_multipliers(make_calls):
+    counts = []
+    for mults in ((2, 3, 0), (1, -1, 0)):
+        curve = curve_locus(f"w{mults}", zip((XI[1], ETA[1], ORIGIN), mults))
+        make_calls.clear()
+        curve_triples.__wrapped__(curve, 12)
+        counts.append(len(make_calls))
+    # one make per image of each of the 12^2 parameters
+    assert counts == [432, 432]
 
 
 def test_intersect_loci_needs_a_curve():
@@ -284,7 +336,8 @@ def test_contains_locus_agrees_with_enumeration():
     for surface in NAMED_SURFACES:
         for curve in NAMED_CURVES:
             claimed = contains_locus(surface, curve)
-            enumerated = all(member(surface, t) for t in curve_triples(curve, 12))
+            enumerated = all(member(surface, t)
+                             for t in curve_triples_oracle(curve, 12))
             assert claimed == enumerated, (surface, curve)
 
 
