@@ -152,8 +152,8 @@ def _vertex_expected(char, triangle, level) -> str:
 
 
 def _vertex_actual(char, triangle, level) -> str:
-    record = verify_vertex_containment(char, triangle)
-    return _containment_text(record.contained, record.vertex_mults)
+    mults = verify_vertex_containment(char, triangle)
+    return _containment_text(0 not in mults, mults)
 
 
 def _pattern_text(entries, total) -> str:
@@ -170,17 +170,20 @@ def _pair_expected(c1, c2, level) -> str:
 
 def _pair_actual(c1, c2, level) -> str:
     """The observed pattern: one entry per triangle met, a single
-    multiplicity when the three vertices agree."""
-    record = verify_pencil_pairs(c1, c2)
+    multiplicity when the three vertices agree, and the finite total."""
     observed = []
-    for cls, mults in sorted(record.actual):
+    total = 0
+    for cls, mults in sorted(verify_pencil_pairs(c1, c2)):
+        finite = all(isinstance(m, int) for m in mults)
+        if finite:
+            total += sum(mults)
         if mults == (0, 0, 0):
             continue
-        if all(isinstance(m, int) for m in mults) and len(set(mults)) == 1:
+        if finite and len(set(mults)) == 1:
             observed.append((cls, mults[0]))
         else:
             observed.append((cls, str(mults)))
-    return _pattern_text(observed, record.total)
+    return _pattern_text(observed, total)
 
 
 def _heisenberg_rows() -> list:

@@ -154,6 +154,15 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _integer(digits: str) -> int:
+    """A digit string as an int; Python converts at most
+    sys.get_int_max_str_digits() digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, tokens, symbols):
         self.tokens = tokens
@@ -211,8 +220,8 @@ class _Parser:
             return inner
         if token.isdigit():
             if self.peek() in self.symbols:
-                return Scaled(int(token), self.take())
-            return Lit(int(token))
+                return Scaled(_integer(token), self.take())
+            return Lit(_integer(token))
         if token in self.symbols:
             return Sym(token)
         raise ParseError(f"unexpected token {token!r}")
@@ -259,7 +268,7 @@ class _Context:
             self.classes = {"h": (1, 0), "f": (0, 1), "K": E2_CANONICAL}
         else:
             self.kind = "Fe"
-            self.e = int(name[1:])
+            self.e = _integer(name[1:])
             self.classes = {"C0": FeClass(self.e, 1, 0),
                             "L": FeClass(self.e, 0, 1),
                             "K": fe_canonical(self.e)}

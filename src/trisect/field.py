@@ -49,7 +49,8 @@ class Eis:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # an element equal to an int or Fraction must hash like it
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -153,53 +153,26 @@ def triangles() -> tuple[Triangle, ...]:
 # Vertex containment and pencil pair intersections, checked pointwise
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContainmentCheck:
-    """One (eigencubic, triangle) pair: the cubic contains all three triangle
-    vertices exactly when the triangle class differs from the cubic's, and
-    then with local multiplicity three at each vertex."""
-
-    cubic: Char
-    triangle: Char
-    expected_contained: bool
-    contained: bool
-    vertex_mults: tuple
-    ok: bool
-
-
 def contains_vertices(char: Char, triangle: Char) -> bool:
     """The claim: the eigencubic of `char` passes through the vertices of the
-    triangle of class `triangle` exactly when the two classes differ."""
+    triangle of class `triangle` exactly when the two classes differ, and
+    then with local multiplicity three at each vertex."""
     return triangle != char_class(char)
 
 
-def verify_vertex_containment(char: Char, triangle: Char) -> ContainmentCheck:
-    """Check the claim for one eigencubic and one triangle class."""
+def verify_vertex_containment(char: Char, triangle: Char) -> tuple:
+    """Local multiplicities of the eigencubic of `char` and the triangle of
+    class `triangle` at the triangle's three vertices; a vertex lies on the
+    cubic exactly when its multiplicity is not zero."""
     curve = printed_eigencubics()[char][0]
     tri = {t.label: t for t in triangles()}[triangle]
-    expected = contains_vertices(char, triangle)
-    mults = tuple(fulton_mult(curve, tri.product, v) for v in tri.vertices)
-    contained = all(not curve.evaluate(v) for v in tri.vertices)
-    ok = contained == expected and (mults == (3, 3, 3) if expected else True)
-    return ContainmentCheck(char, triangle, expected, contained, mults, ok)
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """One unordered pair of eigencubics: their nine Bezout intersection
-    points all sit at triangle vertices, in the pattern predicted from the
-    character sum and difference."""
-
-    labels: tuple[Char, Char]
-    antipodal: bool
-    expected: tuple          # ((triangle class, per-vertex mult), ...)
-    actual: tuple            # ((triangle class, (m, m, m)), ...)
-    total: int
-    bezout: int
-    ok: bool
+    return tuple(fulton_mult(curve, tri.product, v) for v in tri.vertices)
 
 
 def expected_pair_pattern(c1: Char, c2: Char) -> dict:
+    """The claim for two eigencubics: their nine Bezout intersection points
+    all sit at triangle vertices, with this multiplicity at each vertex of
+    the triangle of each class, from the character sum and difference."""
     if c2 == char_neg(c1):
         skip = char_class(c1)
         return {cls: 1 for cls in TRIANGLE_CLASSES if cls != skip}
@@ -207,27 +180,10 @@ def expected_pair_pattern(c1: Char, c2: Char) -> dict:
             char_class(char_add(c1, char_neg(c2))): 2}
 
 
-def verify_pencil_pairs(c1: Char, c2: Char) -> PairCheck:
-    """Check the meeting pattern of the eigencubics of two characters."""
+def verify_pencil_pairs(c1: Char, c2: Char) -> tuple:
+    """Local multiplicities of the eigencubics of two characters at the
+    vertices of each triangle: ((triangle class, (m, m, m)), ...)."""
     eigen = printed_eigencubics()
     f, g = eigen[c1][0], eigen[c2][0]
-    pattern = expected_pair_pattern(c1, c2)
-    actual = []
-    total = 0
-    ok = True
-    for tri in triangles():
-        mults = tuple(fulton_mult(f, g, v) for v in tri.vertices)
-        actual.append((tri.label, mults))
-        want = pattern.get(tri.label, 0)
-        if mults != (want, want, want):
-            ok = False
-        if all(isinstance(m, int) for m in mults):
-            total += sum(mults)
-        else:
-            ok = False
-    bezout = f.degree * g.degree
-    if total != bezout:
-        ok = False
-    return PairCheck((c1, c2), c2 == char_neg(c1),
-                     tuple(sorted(pattern.items())), tuple(actual), total,
-                     bezout, ok)
+    return tuple((tri.label, tuple(fulton_mult(f, g, v) for v in tri.vertices))
+                 for tri in triangles())

@@ -17,7 +17,8 @@ from trisect.covers import (FeClass, derive_branch_class,
                             derive_image_classes, exclusion_certificates,
                             fe_chi, fe_genus, fe_pair, solve_cover_constraints)
 from trisect.heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, char_class,
-                                decompose_degree3, printed_eigencubics,
+                                contains_vertices, decompose_degree3,
+                                expected_pair_pattern, printed_eigencubics,
                                 verify_pencil_pairs, verify_vertex_containment)
 from trisect.rings import (albanese_degrees, canonical_relations,
                            certificate_double_component,
@@ -63,27 +64,34 @@ def test_criterion_2_eigencubics():
 @pytest.mark.criterion(3, "vertex containment")
 def test_criterion_3_vertex_containment():
     start = time.perf_counter()
-    checks = [verify_vertex_containment(char, tri)
-              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
+    checks = {(char, tri): verify_vertex_containment(char, tri)
+              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES}
     elapsed = time.perf_counter() - start
     assert len(checks) == 32
-    for check in checks:
-        assert check.ok
-        assert check.expected_contained == (check.triangle
-                                            != char_class(check.cubic))
-        if check.expected_contained:
-            assert check.vertex_mults == (3, 3, 3)
+    for (char, tri), mults in checks.items():
+        # the cubic contains the vertices exactly when the classes differ,
+        # and then meets the triangle with multiplicity three at each
+        assert contains_vertices(char, tri) == (tri != char_class(char))
+        if tri != char_class(char):
+            assert mults == (3, 3, 3)
+        else:
+            assert 0 in mults
     assert elapsed < 10.0
 
 
 @pytest.mark.criterion(4, "pencil pair intersections")
 def test_criterion_4_pencil_pairs():
-    checks = [verify_pencil_pairs(c1, c2)
-              for c1, c2 in combinations(NONZERO_CHARS, 2)]
-    assert len(checks) == 28
-    for check in checks:
-        assert check.ok
-        assert check.total == check.bezout == 9
+    eigen = printed_eigencubics()
+    pairs = list(combinations(NONZERO_CHARS, 2))
+    assert len(pairs) == 28
+    for c1, c2 in pairs:
+        pattern = expected_pair_pattern(c1, c2)
+        actual = verify_pencil_pairs(c1, c2)
+        assert len(actual) == 4
+        assert dict(actual) == {cls: (pattern.get(cls, 0),) * 3
+                                for cls in TRIANGLE_CLASSES}
+        assert (sum(m for _, mults in actual for m in mults)
+                == eigen[c1][0].degree * eigen[c2][0].degree == 9)
 
 
 @pytest.mark.criterion(5, "fibre intersection table")

@@ -234,3 +234,10 @@ def test_eval_errors_exit_2(capsys):
     assert "trisect:" in capsys.readouterr().err
     assert main(["eval", "chi E(3): " + "(" * 3000 + "D" + ")" * 3000]) == 2
     assert "nest deeper" in capsys.readouterr().err
+    # more digits than Python converts from a string
+    assert main(["eval", "chi E(3): " + "9" * 5000 + "D"]) == 2
+    assert "too long" in capsys.readouterr().err
+    assert main(["eval", "pair E(2): " + "9" * 5000]) == 2
+    assert "too long" in capsys.readouterr().err
+    assert main(["eval", "chi F" + "1" * 5000 + ": C0"]) == 2
+    assert "too long" in capsys.readouterr().err

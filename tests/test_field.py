@@ -58,6 +58,18 @@ def test_conjugation_is_an_automorphism():
     assert W.conj() == W * W
 
 
+def test_rational_elements_hash_like_their_rationals():
+    rng = random.Random(3)
+    values = [0, 1, -1, 7, 2 ** 70, Fraction(1, 3), Fraction(-22, 7)]
+    values += [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+               for _ in range(200)]
+    for r in values:
+        x = Eis(r)
+        assert x == r and hash(x) == hash(r)
+        assert x in {r} and r in {x}
+    assert W not in {0, 1} and Eis(1, 1) != 1
+
+
 def test_division_and_pow():
     x = Eis(2, 3)
     assert x / x == Eis(1)

@@ -6,14 +6,15 @@ from trisect.curves import Form, fulton_mult, parse_form
 from trisect.field import Eis, W, w_pow
 from trisect.heisenberg import (DEGREE3_MONOMIALS, NONZERO_CHARS,
                                 TRIANGLE_CLASSES, act, act_sigma, act_tau,
-                                char_class, character_projection,
+                                char_class, char_neg, character_projection,
                                 contains_vertices, decompose_degree3,
                                 expected_pair_pattern, printed_eigencubics,
                                 triangles, verify_pencil_pairs,
                                 verify_vertex_containment)
 from trisect.report import run_checks
 
-from helpers import base_points, in_pencil, is_singular_at, pencil_generators
+from helpers import (base_points, evaluate, in_pencil, is_singular_at,
+                     pencil_generators)
 
 X0 = parse_form("x0")
 X1 = parse_form("x1")
@@ -82,24 +83,32 @@ def test_base_points_lie_on_every_pencil_member():
     assert len(set(pts)) == 9
     f0, f_inf = pencil_generators()
     for p in pts:
-        assert not f0.evaluate(p) and not f_inf.evaluate(p)
+        assert not evaluate(f0, p) and not evaluate(f_inf, p)
 
 
 def test_each_triangle_side_carries_three_base_points():
     pts = base_points()
     for tri in triangles():
         for side in tri.factors:
-            assert sum(1 for p in pts if not side.evaluate(p)) == 3
+            assert sum(1 for p in pts if not evaluate(side, p)) == 3
 
 
 def test_vertex_containment_claims():
-    checks = [verify_vertex_containment(char, tri)
-              for char in NONZERO_CHARS for tri in TRIANGLE_CLASSES]
-    assert len(checks) == 32
-    assert all(c.ok for c in checks)
-    contained = [c for c in checks if c.expected_contained]
-    assert len(contained) == 24
-    assert all(c.vertex_mults == (3, 3, 3) for c in contained)
+    eigen = printed_eigencubics()
+    vertices = {t.label: t.vertices for t in triangles()}
+    contained = 0
+    for char in NONZERO_CHARS:
+        for tri in TRIANGLE_CLASSES:
+            mults = verify_vertex_containment(char, tri)
+            # a vertex has multiplicity zero exactly when it misses the cubic
+            assert [m == 0 for m in mults] == [
+                bool(evaluate(eigen[char][0], v)) for v in vertices[tri]]
+            if contains_vertices(char, tri):
+                contained += 1
+                assert mults == (3, 3, 3)
+            else:
+                assert 0 in mults
+    assert contained == 24
 
 
 def test_each_row_makes_its_own_multiplicity_calls(monkeypatch):
@@ -121,12 +130,45 @@ def test_each_row_makes_its_own_multiplicity_calls(monkeypatch):
 
 
 def test_pencil_pair_claims():
-    checks = [verify_pencil_pairs(c1, c2)
-              for c1, c2 in combinations(NONZERO_CHARS, 2)]
-    assert len(checks) == 28
-    assert all(c.ok for c in checks)
-    assert all(c.total == c.bezout == 9 for c in checks)
-    assert sum(1 for c in checks if c.antipodal) == 4
+    eigen = printed_eigencubics()
+    pairs = list(combinations(NONZERO_CHARS, 2))
+    assert len(pairs) == 28
+    for c1, c2 in pairs:
+        pattern = expected_pair_pattern(c1, c2)
+        actual = verify_pencil_pairs(c1, c2)
+        assert len(actual) == 4
+        assert dict(actual) == {cls: (pattern.get(cls, 0),) * 3
+                                for cls in TRIANGLE_CLASSES}
+        # all of Bezout's nine points sit at the vertices
+        assert sum(m for _, mults in actual for m in mults) == 9
+        assert eigen[c1][0].degree * eigen[c2][0].degree == 9
+    antipodal = [(c1, c2) for c1, c2 in pairs if c2 == char_neg(c1)]
+    assert len(antipodal) == 4
+    assert all(len(expected_pair_pattern(*pair)) == 3 for pair in antipodal)
+
+
+def test_multiplication_count_of_the_heisenberg_instances(monkeypatch):
+    # Eis products made by the 32 vertex and 28 pair instances, with the
+    # fixtures parsed beforehand.  The count is deterministic; translating
+    # each form power by power, or evaluating it before translating, raises
+    # it.
+    printed_eigencubics()
+    triangles()
+    calls = 0
+    mul = Eis.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+    monkeypatch.setattr(Eis, "__mul__", counted)
+    monkeypatch.setattr(Eis, "__rmul__", counted)
+    for char in NONZERO_CHARS:
+        for tri in TRIANGLE_CLASSES:
+            verify_vertex_containment(char, tri)
+    for c1, c2 in combinations(NONZERO_CHARS, 2):
+        verify_pencil_pairs(c1, c2)
+    assert calls == 25_905
 
 
 def test_pair_pattern_worked_example():
