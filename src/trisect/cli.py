@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
 from .checks import run_verify
 from .expr import DslError, evaluate_statement
@@ -72,7 +73,9 @@ def _run_eval_command(args) -> int:
     except DslError as exc:
         print(f"trisect: {exc}", file=sys.stderr)
         return 2
-    print(", ".join(str(v) for v in values))
+    # Decimal prints an int of any length; str() stops at
+    # sys.get_int_max_str_digits() digits
+    print(", ".join(str(Decimal(v)) for v in values))
     return 0
 
 

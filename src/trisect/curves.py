@@ -10,6 +10,7 @@ point yields the `INFINITE` sentinel, never a wrong integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .field import Eis, parse_eis
 
@@ -102,6 +103,14 @@ class Form:
     def scale(self, c) -> "Form":
         c = _coerce_eis(c)
         return Form({m: c * v for m, v in self.coeffs.items()})
+
+    def evaluate(self, point) -> Eis:
+        coords = point.coords if isinstance(point, ProjPoint) else tuple(
+            _coerce_eis(c) for c in point)
+        total = Eis(0)
+        for (e0, e1, e2), c in self.coeffs.items():
+            total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2
+        return total
 
     def monic(self) -> "Form":
         """Scale so the lex-largest monomial has coefficient one."""
@@ -292,32 +301,18 @@ def dehomogenize(form: Form, chart: int) -> BiPoly:
     return out
 
 
-def _taylor_shift(rows: list, s: Eis) -> None:
-    """rows[k] lists the coefficients of t^k; rewrite them in place as those
-    of the polynomial with t -> t + s, by Horner's rule once per degree
-    (Knuth, TAOCP vol. 2, 4.6.4)."""
-    n = len(rows) - 1
-    for k in range(n):
-        for i in range(n - 1, k - 1, -1):
-            rows[i] = [a + s * b if b else a
-                       for a, b in zip(rows[i], rows[i + 1])]
-
-
 def _translate(poly: BiPoly, p: Eis, q: Eis) -> BiPoly:
-    """Substitute u -> u + p, v -> v + q: a Taylor shift in each variable
-    on the grid of coefficients, skipped when the shift is zero."""
-    zero = Eis(0)
-    grid = [[zero] * (max(j for _, j in poly) + 1)
-            for _ in range(max(i for i, _ in poly) + 1)]
+    """Substitute u -> u + p, v -> v + q."""
+    out: BiPoly = {}
     for (i, j), c in poly.items():
-        grid[i][j] = c
-    if p:
-        _taylor_shift(grid, p)
-    columns = [list(col) for col in zip(*grid)]
-    if q:
-        _taylor_shift(columns, q)
-    return {(i, j): c for j, col in enumerate(columns)
-            for i, c in enumerate(col) if c}
+        for di in range(i + 1):
+            partial = c * comb(i, di) * p ** (i - di)
+            for dj in range(j + 1):
+                term = partial * comb(j, dj) * q ** (j - dj)
+                if term:
+                    key = (di, dj)
+                    out[key] = out.get(key, Eis(0)) + term
+    return {k: v for k, v in out.items() if v}
 
 
 def _restriction(poly: BiPoly) -> dict:
@@ -383,11 +378,12 @@ def fulton_mult(f: Form, g: Form, point: ProjPoint):
 
     Returns a nonnegative integer, or INFINITE when the curves share a
     component through the point.  Zero iff the point misses one of the
-    curves, which shows as a nonzero constant term once the point is moved
-    to the origin.
+    curves.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("intersection multiplicity needs curves of degree >= 1")
+    if f.evaluate(point) or g.evaluate(point):
+        return 0
     chart = max(i for i in range(3) if point.coords[i])
     rest = [i for i in range(3) if i != chart]
     scale = point.coords[chart].inverse()

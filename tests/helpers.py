@@ -2,7 +2,7 @@
 library's public pieces."""
 
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 from trisect.curves import Form, ProjPoint
 from trisect.field import Eis, w_pow
@@ -12,32 +12,6 @@ from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus, Triple,
 
 
 # --- plane curves -----------------------------------------------------------
-
-def evaluate(form: Form, point) -> Eis:
-    """The form's value at a point, given as a ProjPoint or as three
-    coordinates: the incidence oracle for `fulton_mult`."""
-    coords = point.coords if isinstance(point, ProjPoint) else tuple(
-        c if isinstance(c, Eis) else Eis(c) for c in point)
-    total = Eis(0)
-    for (e0, e1, e2), c in form.coeffs.items():
-        total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2
-    return total
-
-
-def translate_oracle(poly: dict, p: Eis, q: Eis) -> dict:
-    """Oracle for `curves._translate`: substitute u -> u + p, v -> v + q
-    term by term through the binomial theorem."""
-    out = {}
-    for (i, j), c in poly.items():
-        for di in range(i + 1):
-            head = c * comb(i, di) * p ** (i - di)
-            for dj in range(j + 1):
-                term = head * comb(j, dj) * q ** (j - dj)
-                if term:
-                    key = (di, dj)
-                    out[key] = out.get(key, Eis(0)) + term
-    return {k: v for k, v in out.items() if v}
-
 
 def partial(form: Form, index: int) -> Form:
     """Derivative of a form in the variable x_index."""
@@ -53,7 +27,7 @@ def partial(form: Form, index: int) -> Form:
 def is_singular_at(curve: Form, point: ProjPoint) -> bool:
     """True when all three partials vanish at the point (by the Euler
     relation the curve itself then vanishes there too)."""
-    return all(not evaluate(partial(curve, i), point) for i in range(3))
+    return all(not partial(curve, i).evaluate(point) for i in range(3))
 
 
 # --- the invariant pencil ---------------------------------------------------

@@ -227,6 +227,19 @@ def test_eval_worked_examples(capsys):
     assert capsys.readouterr().out == "5\n"
 
 
+def test_eval_prints_values_past_the_int_string_limit(capsys):
+    # the literal parses (4,000 digits), its chi has about 12,000
+    a = 10 ** 4000 - 1
+    assert main(["eval", "chi E(3): " + "9" * 4000 + "D"]) == 0
+    out = capsys.readouterr().out.strip()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(out) == a * (a + 1) * (a + 2) // 6
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_eval_errors_exit_2(capsys):
     assert main(["eval", "chi E(3): 4D -"]) == 2
     assert "trisect:" in capsys.readouterr().err

@@ -1,17 +1,14 @@
-import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from trisect.curves import (INFINITE, Form, ProjPoint, _translate,
-                            fulton_mult, line_intersection, linear_form,
-                            parse_form)
+from trisect.curves import (INFINITE, Form, ProjPoint, fulton_mult,
+                            line_intersection, linear_form, parse_form)
 from trisect.field import Eis, W
 
-from helpers import evaluate, is_singular_at, translate_oracle
+from helpers import is_singular_at
 
 
 X0 = linear_form(1, 0, 0)
@@ -24,7 +21,7 @@ def test_form_basics():
     f = parse_form("x0^3 + (w)*x1^3 + (-1 - w)*x2^3")
     assert f.degree == 3
     assert f.coeffs[(0, 3, 0)] == W
-    assert evaluate(f, (1, 1, 1)) == Eis(0)
+    assert f.evaluate((1, 1, 1)) == Eis(0)
     assert parse_form(str(f)) == f
     g = X0 * X1 - X1 * X0
     assert not g and g.degree == -1
@@ -107,27 +104,6 @@ def test_chart_choice_is_forced_by_largest_nonzero_coordinate():
     assert fulton_mult(f, g, ProjPoint(1, 1, 1)) == 1
 
 
-def test_taylor_shift_matches_binomial_translation():
-    # seeded polynomials of total degree <= 4 over Q(w), half of them with
-    # denominators, against every pattern of zero and nonzero shifts
-    rng = random.Random(8)
-
-    def element(denominators):
-        def part():
-            return Fraction(rng.randint(-5, 5),
-                            rng.randint(1, 6) if denominators else 1)
-        return Eis(part(), part())
-
-    for trial in range(160):
-        denominators = trial % 2 == 1
-        poly = {(i, j): element(denominators)
-                for i in range(5) for j in range(5 - i) if rng.random() < 0.5}
-        poly = {k: c for k, c in poly.items() if c} or {(0, 0): Eis(1)}
-        p, q = (element(denominators) if nonzero else Eis(0)
-                for nonzero in ((trial // 2) % 2, (trial // 4) % 2))
-        assert _translate(poly, p, q) == translate_oracle(poly, p, q)
-
-
 # --- property tests ---------------------------------------------------------
 #
 # Random forms vanishing at [0:0:1]: any integer combination of the degree-2
@@ -174,7 +150,7 @@ def _through(form, point):
     the point) that cancels its value there."""
     k = next(i for i in range(3) if point.coords[i])
     mono = tuple(form.degree if i == k else 0 for i in range(3))
-    fix = evaluate(form, point) / point.coords[k] ** form.degree
+    fix = form.evaluate(point) / point.coords[k] ** form.degree
     return form - Form({mono: fix})
 
 
@@ -190,5 +166,5 @@ def test_mult_positive_iff_common_point(f, g, p, f_through, g_through):
     f = _through(f, p) if f_through else f
     g = _through(g, p) if g_through else g
     assume(f and g)
-    missed = bool(evaluate(f, p) or evaluate(g, p))
+    missed = bool(f.evaluate(p) or g.evaluate(p))
     assert (fulton_mult(f, g, p) == 0) == missed
