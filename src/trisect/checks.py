@@ -4,10 +4,12 @@ Each suite is one table of rows `(check_id, paper_ref, expected, actual[,
 min_level])` pinning a library computation against an independently stated
 expectation: a transcribed fixture, a worked value, or a second computation
 route.  `actual` is called with the working torsion level; `expected` is a
-plain value, or a callable of the level where it reads a fixture or a shared
-record, so building the checks loads no fixture and runs no library
-computation.  The `paper_ref` field carries the claim-catalog id documented
-in the README; the `check_id` names the individual instance.
+plain value, or a callable of the level where it reads a fixture or runs a
+second computation, so building the checks loads no fixture and runs no
+library computation.  No row reads a record cached by another, so a row's
+time is the cost of what it compares.  The `paper_ref` field carries the
+claim-catalog id documented in the README; the `check_id` names the
+individual instance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import astuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 
 from .covers import (FeClass, SurfaceInvariants, bicanonical_degree_options,
@@ -26,10 +28,10 @@ from .covers import (FeClass, SurfaceInvariants, bicanonical_degree_options,
                      verify_branch_table, verify_cover_constraints)
 from .curves import fulton_mult, linear_form, parse_form, ProjPoint
 from .field import Eis, W, parse_eis
-from .heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, contains_vertices,
-                         decompose_degree3, expected_pair_pattern,
-                         printed_eigencubics, verify_pencil_pairs,
-                         verify_vertex_containment)
+from .heisenberg import (CHARACTERS, NONZERO_CHARS, TRIANGLE_CLASSES,
+                         contains_vertices, decompose_degree3,
+                         expected_pair_pattern, printed_eigencubics,
+                         verify_pencil_pairs, verify_vertex_containment)
 from .report import SUITES, Check, run_checks
 from .rings import (E3_BOUNDARY, E3_CANONICAL, FIBRE_CLASS_CURVE,
                     TWO_TORSION_LINE, albanese_degrees, canonical_relations,
@@ -189,14 +191,14 @@ def _pair_actual(c1, c2, level) -> str:
 def _heisenberg_rows() -> list:
     rows = [(f"eigencubic-{_cid(char)}", "eigen-decomposition",
              partial(lambda c, _: printed_eigencubics()[c][0].monic(), char),
-             partial(lambda c, _: decompose_degree3()[c][0], char))
+             partial(lambda c, _: decompose_degree3(c)[0], char))
             for char in NONZERO_CHARS]
     rows += [
         ("invariant-pencil", "eigen-decomposition",
          lambda _: sorted(str(f.monic()) for f in printed_eigencubics()[(0, 0)]),
-         lambda _: sorted(str(f) for f in decompose_degree3()[(0, 0)])),
+         lambda _: sorted(str(f) for f in decompose_degree3((0, 0)))),
         ("character-dimensions", "eigen-decomposition", 10,
-         lambda _: sum(len(v) for v in decompose_degree3().values())),
+         lambda _: sum(len(decompose_degree3(c)) for c in CHARACTERS)),
     ]
     rows += [(f"vertex-{_cid(char)}-tri-{_cid(tri)}", "vertex-containment",
               partial(_vertex_expected, char, tri),
@@ -212,13 +214,18 @@ def _heisenberg_rows() -> list:
 # torsion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _base_report(m: int):
-    return enumerate_base_points(m)
-
-
 def _point_strings(triples) -> list:
     return sorted(str(t) for t in triples)
+
+
+def _base_points(level) -> list:
+    return _point_strings(enumerate_base_points(level).base_points)
+
+
+def _boundary_terms(level) -> tuple:
+    """The terms with three boundary factors, and the triples they keep."""
+    terms = enumerate_base_points(level).candidate_b_terms
+    return len(terms), sum(len(t.triples) for t in terms)
 
 
 def _torsion_rows() -> list:
@@ -271,18 +278,13 @@ def _torsion_rows() -> list:
              for i, p in enumerate(THREE_TORSION) for q in THREE_TORSION[i + 1:]]
     rows += [
         ("base-points", "base-point-set",
-         lambda _: _point_strings(expected_base_points()),
-         lambda level: _point_strings(_base_report(level).base_points), 24),
-        ("boundary-terms-empty", "base-point-set", (56, 0),
-         lambda level: (len(_base_report(level).candidate_b_terms),
-                        sum(len(t.triples)
-                            for t in _base_report(level).candidate_b_terms)),
+         lambda _: _point_strings(expected_base_points()), _base_points, 24),
+        ("boundary-terms-empty", "base-point-set", (56, 0), _boundary_terms,
          24),
         ("surviving-terms", "base-point-set", 4,
-         lambda level: len(_base_report(level).nonempty_terms), 24),
-        ("level-stability", "base-point-set",
-         lambda level: _point_strings(_base_report(level).base_points),
-         lambda level: _point_strings(_base_report(2 * level).base_points), 24),
+         lambda level: len(enumerate_base_points(level).nonempty_terms), 24),
+        ("level-stability", "base-point-set", _base_points,
+         lambda level: _base_points(2 * level), 24),
     ]
     return rows
 

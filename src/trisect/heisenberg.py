@@ -39,16 +39,6 @@ def act_tau(form: Form) -> Form:
     return Form({m: w_pow(-(m[1] + 2 * m[2])) * c for m, c in form.coeffs.items()})
 
 
-def act(form: Form, s: int, t: int) -> Form:
-    """Apply the diagonal map t times, then the shift s times."""
-    out = form
-    for _ in range(t % 3):
-        out = act_tau(out)
-    for _ in range(s % 3):
-        out = act_sigma(out)
-    return out
-
-
 def char_class(char: Char) -> Char:
     """Representative of {c, -c} among the four triangle class labels."""
     a, b = char[0] % 3, char[1] % 3
@@ -66,39 +56,33 @@ def char_neg(c: Char) -> Char:
 
 
 def character_projection(form: Form, char: Char) -> Form:
-    """Average of the nine translates against the character (a, b)."""
+    """Average of the nine translates against the character (a, b): the
+    translate by the diagonal map t times, then the shift s times, is
+    weighted by w^-(a*s + b*t)."""
     a, b = char
     out = Form({})
-    for s in range(3):
-        for t in range(3):
-            out = out + act(form, s, t).scale(w_pow(-(a * s + b * t)))
+    diagonal = form
+    for t in range(3):
+        translate = diagonal
+        for s in range(3):
+            out = out + translate.scale(w_pow(-(a * s + b * t)))
+            translate = act_sigma(translate)
+        diagonal = act_tau(diagonal)
     return out.scale(Eis(Fraction(1, 9)))
 
 
-def _form_vector(form: Form) -> list[Eis]:
-    return [form.coeffs.get(m, Eis(0)) for m in DEGREE3_MONOMIALS]
-
-
-def _vector_form(vec) -> Form:
-    return Form(dict(zip(DEGREE3_MONOMIALS, vec)))
-
-
-@lru_cache(maxsize=None)
-def decompose_degree3() -> dict:
-    """Reduced monic basis of each character space of degree-three forms.
+def decompose_degree3(char: Char) -> tuple[Form, ...]:
+    """Reduced monic basis of the character space of `char` in the
+    degree-three forms, from the projections of the ten monomials.
 
     The nine spaces together have dimension ten: the invariant space is a
     pencil and every nonzero character space is a line.
     """
-    out = {}
-    for char in CHARACTERS:
-        projections = []
-        for mono in DEGREE3_MONOMIALS:
-            proj = character_projection(Form({mono: Eis(1)}), char)
-            if proj:
-                projections.append(_form_vector(proj))
-        out[char] = tuple(_vector_form(row) for row in rref(projections))
-    return out
+    rows = []
+    for mono in DEGREE3_MONOMIALS:
+        proj = character_projection(Form({mono: Eis(1)}), char)
+        rows.append([proj.coeffs.get(m, Eis(0)) for m in DEGREE3_MONOMIALS])
+    return tuple(Form(dict(zip(DEGREE3_MONOMIALS, row))) for row in rref(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +91,6 @@ def decompose_degree3() -> dict:
 
 @dataclass(frozen=True)
 class Triangle:
-    label: Char
     factors: tuple[Form, Form, Form]
     product: Form
     vertices: tuple[ProjPoint, ProjPoint, ProjPoint]
@@ -133,8 +116,10 @@ def printed_eigencubics() -> dict:
 
 
 @lru_cache(maxsize=None)
-def triangles() -> tuple[Triangle, ...]:
-    out = []
+def triangles() -> dict:
+    """Fixture triangles: class -> the triangle with its sides, their
+    product and its three vertices."""
+    out = {}
     for label, value, _ in load_entries("hesse_fixtures.txt"):
         if not label.startswith("triangle"):
             continue
@@ -145,8 +130,8 @@ def triangles() -> tuple[Triangle, ...]:
         product = factors[0] * factors[1] * factors[2]
         verts = tuple(line_intersection(factors[i], factors[j])
                       for i, j in ((0, 1), (0, 2), (1, 2)))
-        out.append(Triangle(char, factors, product, verts))
-    return tuple(out)
+        out[char] = Triangle(factors, product, verts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +150,7 @@ def verify_vertex_containment(char: Char, triangle: Char) -> tuple:
     class `triangle` at the triangle's three vertices; a vertex lies on the
     cubic exactly when its multiplicity is not zero."""
     curve = printed_eigencubics()[char][0]
-    tri = {t.label: t for t in triangles()}[triangle]
+    tri = triangles()[triangle]
     return tuple(fulton_mult(curve, tri.product, v) for v in tri.vertices)
 
 
@@ -185,5 +170,5 @@ def verify_pencil_pairs(c1: Char, c2: Char) -> tuple:
     vertices of each triangle: ((triangle class, (m, m, m)), ...)."""
     eigen = printed_eigencubics()
     f, g = eigen[c1][0], eigen[c2][0]
-    return tuple((tri.label, tuple(fulton_mult(f, g, v) for v in tri.vertices))
-                 for tri in triangles())
+    return tuple((cls, tuple(fulton_mult(f, g, v) for v in tri.vertices))
+                 for cls, tri in triangles().items())

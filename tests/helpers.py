@@ -30,6 +30,22 @@ def is_singular_at(curve: Form, point: ProjPoint) -> bool:
     return all(not partial(curve, i).evaluate(point) for i in range(3))
 
 
+def order_along(form: Form, p: ProjPoint, q: ProjPoint) -> int | None:
+    """Order at t = 0 of form(p + t*q), the intersection multiplicity at p
+    of the curve and the line through p and q, expanded term by term; None
+    when the line lies on the curve."""
+    poly = [Eis(0)] * (form.degree + 1)
+    for mono, c in form.coeffs.items():
+        term = [c]
+        for a, b, e in zip(p.coords, q.coords, mono):
+            for _ in range(e):
+                # multiply by a + b*t
+                term = [a * x + b * y
+                        for x, y in zip(term + [Eis(0)], [Eis(0)] + term)]
+        poly = [x + y for x, y in zip(poly, term)]
+    return next((k for k, c in enumerate(poly) if c), None)
+
+
 # --- the invariant pencil ---------------------------------------------------
 
 def pencil_generators() -> tuple[Form, Form]:

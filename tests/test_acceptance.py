@@ -16,7 +16,8 @@ from trisect.cli import main
 from trisect.covers import (FeClass, derive_branch_class,
                             derive_image_classes, exclusion_certificates,
                             fe_chi, fe_genus, fe_pair, solve_cover_constraints)
-from trisect.heisenberg import (NONZERO_CHARS, TRIANGLE_CLASSES, char_class,
+from trisect.heisenberg import (CHARACTERS, NONZERO_CHARS,
+                                TRIANGLE_CLASSES, char_class,
                                 contains_vertices, decompose_degree3,
                                 expected_pair_pattern, printed_eigencubics,
                                 verify_pencil_pairs, verify_vertex_containment)
@@ -52,7 +53,7 @@ def _proportional(f, g) -> bool:
 
 @pytest.mark.criterion(2, "character decomposition of cubics")
 def test_criterion_2_eigencubics():
-    computed = decompose_degree3()
+    computed = {char: decompose_degree3(char) for char in CHARACTERS}
     printed = printed_eigencubics()
     assert len(computed[(0, 0)]) == 2
     for char in NONZERO_CHARS:

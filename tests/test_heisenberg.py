@@ -4,8 +4,8 @@ from itertools import combinations
 from trisect.checks import build_checks
 from trisect.curves import Form, fulton_mult, parse_form
 from trisect.field import Eis, W, w_pow
-from trisect.heisenberg import (DEGREE3_MONOMIALS, NONZERO_CHARS,
-                                TRIANGLE_CLASSES, act, act_sigma, act_tau,
+from trisect.heisenberg import (CHARACTERS, DEGREE3_MONOMIALS, NONZERO_CHARS,
+                                TRIANGLE_CLASSES, act_sigma, act_tau,
                                 char_class, char_neg, character_projection,
                                 contains_vertices, decompose_degree3,
                                 expected_pair_pattern, printed_eigencubics,
@@ -13,7 +13,8 @@ from trisect.heisenberg import (DEGREE3_MONOMIALS, NONZERO_CHARS,
                                 verify_vertex_containment)
 from trisect.report import run_checks
 
-from helpers import base_points, in_pencil, is_singular_at, pencil_generators
+from helpers import (base_points, in_pencil, is_singular_at, order_along,
+                     pencil_generators)
 
 X0 = parse_form("x0")
 X1 = parse_form("x1")
@@ -22,8 +23,8 @@ X1 = parse_form("x1")
 def test_generators_have_order_three():
     for mono in DEGREE3_MONOMIALS:
         f = Form({mono: Eis(1)})
-        assert act(f, 3, 0) == f
-        assert act(f, 0, 3) == f
+        assert act_sigma(act_sigma(act_sigma(f))) == f
+        assert act_tau(act_tau(act_tau(f))) == f
 
 
 def test_commutation_up_to_scalar_on_linear_forms():
@@ -56,7 +57,7 @@ def test_projection_is_idempotent_and_splits_space():
 
 
 def test_decomposition_matches_printed_forms():
-    computed = decompose_degree3()
+    computed = {char: decompose_degree3(char) for char in CHARACTERS}
     printed = printed_eigencubics()
     # dimensions: 2 for the invariant character, 1 for the eight others
     assert len(computed[(0, 0)]) == 2
@@ -70,7 +71,8 @@ def test_decomposition_matches_printed_forms():
 
 
 def test_triangles_are_singular_pencil_members():
-    for tri in triangles():
+    assert tuple(triangles()) == TRIANGLE_CLASSES
+    for tri in triangles().values():
         assert in_pencil(tri.product)
         assert len(set(tri.vertices)) == 3
         for v in tri.vertices:
@@ -87,21 +89,21 @@ def test_base_points_lie_on_every_pencil_member():
 
 def test_each_triangle_side_carries_three_base_points():
     pts = base_points()
-    for tri in triangles():
+    for tri in triangles().values():
         for side in tri.factors:
             assert sum(1 for p in pts if not side.evaluate(p)) == 3
 
 
 def test_vertex_containment_claims():
     eigen = printed_eigencubics()
-    vertices = {t.label: t.vertices for t in triangles()}
     contained = 0
     for char in NONZERO_CHARS:
         for tri in TRIANGLE_CLASSES:
             mults = verify_vertex_containment(char, tri)
+            vertices = triangles()[tri].vertices
             # a vertex has multiplicity zero exactly when it misses the cubic
             assert [m == 0 for m in mults] == [
-                bool(eigen[char][0].evaluate(v)) for v in vertices[tri]]
+                bool(eigen[char][0].evaluate(v)) for v in vertices]
             if contains_vertices(char, tri):
                 contained += 1
                 assert mults == (3, 3, 3)
@@ -126,6 +128,39 @@ def test_each_row_makes_its_own_multiplicity_calls(monkeypatch):
         assert result.status == "PASS"
         family = check.check_id.split("-")[0]
         assert len(calls) - before == {"vertex": 3, "pair": 12}.get(family, 0)
+
+
+def test_vertex_multiplicities_add_up_along_the_sides():
+    # I_v(f, L1*L2*L3) is the sum of I_v(f, L) over the two sides L through
+    # v, and I_v(f, L) is the order at t = 0 of f(v + t*u), with u the
+    # side's other vertex
+    eigen = printed_eigencubics()
+    for char in NONZERO_CHARS:
+        for cls, tri in triangles().items():
+            expected = tuple(sum(order_along(eigen[char][0], v, u)
+                                 for u in tri.vertices if u != v)
+                             for v in tri.vertices)
+            assert verify_vertex_containment(char, cls) == expected
+
+
+def test_each_decomposition_row_makes_its_own_projections(monkeypatch):
+    # rows run in reverse order, so none can find a sibling's work cached:
+    # one character space takes the projections of the ten monomials
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return character_projection(*args)
+    monkeypatch.setattr("trisect.heisenberg.character_projection", counted)
+    rows = [c for c in build_checks(("heisenberg",))
+            if c.paper_ref == "eigen-decomposition"]
+    assert len(rows) == 10
+    for check in reversed(rows):
+        before = len(calls)
+        (result,) = run_checks([check], 24).results
+        assert result.status == "PASS"
+        assert len(calls) - before == (
+            90 if check.check_id == "character-dimensions" else 10)
 
 
 def test_pencil_pair_claims():
@@ -186,7 +221,7 @@ def test_single_printed_multiplicity():
     # coordinate triangle with multiplicity three there
     from trisect.curves import ProjPoint
     eigen = printed_eigencubics()
-    tri = next(t for t in triangles() if t.label == (1, 0))
+    tri = triangles()[(1, 0)]
     v = ProjPoint(0, 0, 1)
     assert v in tri.vertices
     assert fulton_mult(eigen[(1, 0)][0], tri.product, v) == 0

@@ -1,6 +1,6 @@
 """Source layout: every top-level function and class in the library has a
 caller in the library itself, so nothing in `src/` exists only for the
-tests."""
+tests, and the check registry keeps no cache."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trisect"
 
 # entry points called from outside the package
 ENTRY_POINTS = {("cli", "main")}
+
+# the result caches of functools
+CACHES = {"cache", "cached_property", "lru_cache"}
 
 
 def _modules() -> dict:
@@ -62,3 +65,26 @@ def test_every_top_level_definition_has_a_library_caller():
                 continue
             unused.append(f"{name}.{definition.name}")
     assert unused == []
+
+
+def _name(node) -> str:
+    """The name a decorator or a called expression ends in."""
+    if isinstance(node, ast.Call):
+        return _name(node.func)
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", "")
+
+
+def test_check_registry_keeps_no_cache():
+    # a record cached in the registry charges its cost to the first row
+    # that reads it, and its siblings read 0 ms
+    tree = _modules()["checks"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "functools" for alias in node.names}
+    decorators = {_name(d) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  for d in node.decorator_list}
+    assert not (imported | decorators) & CACHES

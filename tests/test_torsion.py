@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisect.checks import build_checks
+from trisect.report import run_checks
 from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
                              THREE_TORSION, XI, AffineMap,
                              InsufficientLevelError, Locus, TorsionPt, Triple,
@@ -397,6 +399,26 @@ def test_base_points_are_level_stable():
     at_48 = enumerate_base_points(48).base_points
     at_384 = enumerate_base_points(384).base_points
     assert at_24 == at_48 == at_384
+
+
+def test_each_base_point_row_runs_its_own_enumeration(monkeypatch):
+    # rows run in reverse order, so none can find a sibling's work cached;
+    # the stability row enumerates at the working level and at twice it
+    levels = []
+
+    def counted(m):
+        levels.append(m)
+        return enumerate_base_points(m)
+    monkeypatch.setattr("trisect.checks.enumerate_base_points", counted)
+    rows = [c for c in build_checks(("torsion",))
+            if c.paper_ref == "base-point-set"]
+    assert len(rows) == 4
+    for check in reversed(rows):
+        before = len(levels)
+        (result,) = run_checks([check], 24).results
+        assert result.status == "PASS"
+        assert levels[before:] == (
+            [24, 48] if check.check_id == "level-stability" else [24])
 
 
 # --- property tests ----------------------------------------------------------
