@@ -9,6 +9,6 @@ bundled check suites and emits a machine-readable report.
 
 __version__ = "0.1.0"
 
-from .field import Eis, Rat, W, parse_eis, w_pow
+from .field import Eis, W, parse_eis, w_pow
 
-__all__ = ["Eis", "Rat", "W", "parse_eis", "w_pow", "__version__"]
+__all__ = ["Eis", "W", "parse_eis", "w_pow", "__version__"]

@@ -32,9 +32,6 @@ class _Infinite:
     def __repr__(self):
         return "INFINITE"
 
-    def __bool__(self):
-        return True
-
 
 INFINITE = _Infinite()
 
@@ -104,9 +101,8 @@ class Form:
         c = _coerce_eis(c)
         return Form({m: c * v for m, v in self.coeffs.items()})
 
-    def evaluate(self, point) -> Eis:
-        coords = point.coords if isinstance(point, ProjPoint) else tuple(
-            _coerce_eis(c) for c in point)
+    def evaluate(self, point: "ProjPoint") -> Eis:
+        coords = point.coords
         total = Eis(0)
         for (e0, e1, e2), c in self.coeffs.items():
             total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2

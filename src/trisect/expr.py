@@ -57,16 +57,10 @@ class SemanticError(DslError):
 class Lit:
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Sym:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -74,36 +68,15 @@ class Scaled:
     value: int
     name: str
 
-    def __str__(self) -> str:
-        return f"{self.value}{self.name}"
-
 
 @dataclass(frozen=True)
 class Term:
     factors: tuple
 
-    def __str__(self) -> str:
-        parts = []
-        for factor in self.factors:
-            if isinstance(factor, Sum):
-                parts.append(f"({factor})")
-            else:
-                parts.append(str(factor))
-        return "*".join(parts)
-
 
 @dataclass(frozen=True)
 class Sum:
     terms: tuple   # of (sign, Term) with sign '+' or '-'
-
-    def __str__(self) -> str:
-        out = []
-        for i, (sign, term) in enumerate(self.terms):
-            if i == 0:
-                out.append(f"-{term}" if sign == "-" else str(term))
-            else:
-                out.append(f"{sign} {term}")
-        return " ".join(out)
 
 
 Factor = Union[Lit, Sym, Scaled, Sum]
@@ -119,9 +92,6 @@ class Statement:
     head: str
     context: str
     exprs: tuple   # of Sum
-
-    def __str__(self) -> str:
-        return f"{self.head} {self.context}: " + ", ".join(str(e) for e in self.exprs)
 
     def evaluate(self) -> tuple:
         ctx = _Context(self.context)
@@ -143,11 +113,10 @@ MAX_NESTING = 100
 def _tokenize(text: str) -> list:
     tokens = []
     pos = 0
+    text = text.rstrip()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
             raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
         tokens.append(m.group(1))
         pos = m.end()

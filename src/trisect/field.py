@@ -1,7 +1,7 @@
 """Exact arithmetic over Q and over the quadratic extension Q(w), w^2 + w + 1 = 0.
 
-Every quantity in the package is either a reduced rational (`Rat`, an alias
-for `fractions.Fraction`) or an element of Q(w) written on the basis {1, w}.
+Every quantity in the package is either a reduced rational
+(`fractions.Fraction`) or an element of Q(w) written on the basis {1, w}.
 Nothing in here is floating point.  Linear algebra over either field goes
 through one exact elimination routine, `rref`.
 """
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rat = Fraction
 
 _CHUNK = re.compile(r"[+-]?[^+-]+")
 

@@ -123,11 +123,6 @@ def class_rep(pt: TorsionPt) -> TorsionPt:
 CLASS_REPS = tuple(sorted({class_rep(p) for p in THREE_TORSION}))
 
 
-def grid(m: int):
-    """All points of E[m]."""
-    return (TorsionPt.make(m, i, j) for i in range(m) for j in range(m))
-
-
 @dataclass(frozen=True, order=True)
 class Triple:
     """Unordered triple of torsion points (an effective degree-three cycle)."""
@@ -299,7 +294,8 @@ def member(locus: Locus, triple: Triple) -> bool:
 
 
 def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
-    """Triples of E[m]^3 lying on both loci, at least one of them a curve.
+    """Triples of E[m]^3 lying on both loci, one a curve and the other a
+    surface, in either order.
 
     A surface meets a curve where one of the surface's linear conditions
     a*x = t holds at the curve parameter x: the coset of solutions, exact at
@@ -312,10 +308,8 @@ def intersect_loci(l1: Locus, l2: Locus, m: int = DEFAULT_LEVEL) -> frozenset:
                 f"{locus} needs level {locus.constants_level()} | m, got {m}")
     if l1.kind != CURVE1:
         l1, l2 = l2, l1
-    if l1.kind != CURVE1:
-        raise ValueError(f"no curve locus to intersect: {l1} and {l2}")
-    if l2.kind == CURVE1:
-        return frozenset(t for t in curve_triples(l1, m) if member(l2, t))
+    if l1.kind != CURVE1 or l2.kind == CURVE1:
+        raise ValueError(f"need a curve and a surface to intersect: {l1} and {l2}")
     conditions = _conditions(l2, l1)
     if (0, ORIGIN) in conditions:  # the curve lies inside the surface
         return curve_triples(l1, m)
@@ -371,18 +365,16 @@ def coset(a: int, t: TorsionPt) -> list:
 
 
 def solve_linear(a: int, t: TorsionPt, m: int = DEFAULT_LEVEL) -> frozenset:
-    """All x in E[m] with a*x = t, complete or an error.
+    """All x in E[m] with a*x = t for a != 0, complete or an error.
 
-    The full solution set of a*x = t (a != 0) is a coset x0 + E[|a|] whose
+    The full solution set of a*x = t is a coset x0 + E[|a|] whose
     points all have order |a| * order(t) up to the coset's torsion, so it
     lies inside E[m] exactly when |a| * order(t) divides m; any other m would
     return a wrong (partial or empty) answer and raises instead.
     """
     check_level(m)
     if a == 0:
-        if t == ORIGIN:
-            return frozenset(grid(m))
-        return frozenset()
+        raise ValueError("solve_linear needs a != 0")
     needed = abs(a) * t.order
     if m % needed:
         raise InsufficientLevelError(
@@ -429,10 +421,10 @@ def intersection_term(xs, ds, m: int = DEFAULT_LEVEL) -> frozenset:
     """
     check_level(m)
     anchors = sorted(set(ds))
+    if len(anchors) >= 4:
+        return frozenset()
     common = common_fibre_classes(xs)
     if not common:
-        return frozenset()
-    if len(anchors) >= 4:
         return frozenset()
     if len(anchors) == 3:
         candidate = Triple.of(*anchors)
@@ -482,10 +474,7 @@ def enumerate_base_points(m: int = DEFAULT_LEVEL) -> BasePointReport:
         xs = tuple(eta for eta, chosen in zip(THREE_TORSION, choice) if chosen)
         ds = tuple(sorted({2 * eta for eta, chosen in zip(THREE_TORSION, choice)
                            if not chosen}))
-        if len(ds) >= 4 or not common_fibre_classes(xs):
-            triples = frozenset()
-        else:
-            triples = intersection_term(xs, ds, m)
+        triples = intersection_term(xs, ds, m)
         terms.append(TermRecord(xs, ds, triples))
         points.update(triples)
     nonempty = tuple(t for t in terms if t.triples)

@@ -5,10 +5,12 @@ from functools import lru_cache
 from math import lcm
 
 from trisect.curves import Form, ProjPoint
+from trisect.expr import Lit, Statement, Sum, Sym, Term
 from trisect.field import Eis, w_pow
 from trisect.heisenberg import printed_eigencubics
-from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus, Triple,
-                             curve_locus, fibre_intersection_rule, grid)
+from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus,
+                             TorsionPt, Triple, curve_locus,
+                             fibre_intersection_rule)
 
 
 # --- plane curves -----------------------------------------------------------
@@ -71,6 +73,11 @@ def base_points() -> tuple[ProjPoint, ...]:
 
 # --- torsion loci and the fibre table ---------------------------------------
 
+def grid(m: int):
+    """All points of E[m]."""
+    return (TorsionPt.make(m, i, j) for i in range(m) for j in range(m))
+
+
 def triple_level(triple: Triple) -> int:
     """The least level M with all three points of the triple in E[M]."""
     return lcm(*(p.level for p in triple.points))
@@ -131,3 +138,35 @@ def build_intersection_table() -> dict:
         for q in THREE_TORSION[i + 1:]:
             table[frozenset((p, q))] = fibre_intersection_rule(p, q)
     return table
+
+
+# --- the statement language -------------------------------------------------
+
+def statement_text(stmt: Statement) -> str:
+    """The statement written out in the grammar `parse_statement` reads."""
+    return (f"{stmt.head} {stmt.context}: "
+            + ", ".join(_sum_text(e) for e in stmt.exprs))
+
+
+def _sum_text(expr: Sum) -> str:
+    out = []
+    for i, (sign, term) in enumerate(expr.terms):
+        text = _term_text(term)
+        if i == 0:
+            out.append(f"-{text}" if sign == "-" else text)
+        else:
+            out.append(f"{sign} {text}")
+    return " ".join(out)
+
+
+def _term_text(term: Term) -> str:
+    return "*".join(f"({_sum_text(f)})" if isinstance(f, Sum) else _factor_text(f)
+                    for f in term.factors)
+
+
+def _factor_text(factor) -> str:
+    if isinstance(factor, Lit):
+        return str(factor.value)
+    if isinstance(factor, Sym):
+        return factor.name
+    return f"{factor.value}{factor.name}"

@@ -21,7 +21,7 @@ def test_form_basics():
     f = parse_form("x0^3 + (w)*x1^3 + (-1 - w)*x2^3")
     assert f.degree == 3
     assert f.coeffs[(0, 3, 0)] == W
-    assert f.evaluate((1, 1, 1)) == Eis(0)
+    assert f.evaluate(ProjPoint(1, 1, 1)) == Eis(0)
     assert parse_form(str(f)) == f
     g = X0 * X1 - X1 * X0
     assert not g and g.degree == -1

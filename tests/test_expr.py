@@ -17,6 +17,8 @@ from trisect.expr import (
     parse_statement,
 )
 
+from helpers import statement_text
+
 
 def test_worked_examples():
     assert evaluate_statement("chi E(3): 4D - F") == (5,)
@@ -72,11 +74,11 @@ def test_semantic_errors():
 
 def test_statement_str_examples():
     stmt = parse_statement("chi E(3): 4D - F, 3D - F")
-    assert str(stmt) == "chi E(3): 4D - F, 3D - F"
-    assert parse_statement(str(stmt)) == stmt
+    assert statement_text(stmt) == "chi E(3): 4D - F, 3D - F"
+    assert parse_statement(statement_text(stmt)) == stmt
     nested = parse_statement("pair E(2): (4h - 2f)*f")
-    assert str(nested) == "pair E(2): (4h - 2f)*f"
-    assert parse_statement(str(nested)) == nested
+    assert statement_text(nested) == "pair E(2): (4h - 2f)*f"
+    assert parse_statement(statement_text(nested)) == nested
 
 
 # ---------------------------------------------------------------------------
@@ -122,4 +124,4 @@ def _statements():
 
 @given(_statements())
 def test_print_parse_round_trip(stmt):
-    assert parse_statement(str(stmt)) == stmt
+    assert parse_statement(statement_text(stmt)) == stmt

@@ -1,11 +1,14 @@
 """Source layout: every top-level function and class in the library has a
 caller in the library itself, so nothing in `src/` exists only for the
-tests, and the check registry keeps no cache."""
+tests; the reach audit's allow-list names library code; the check registry
+keeps no cache; and the library holds no assert and no float literal."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trisect"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trisect"
 
 # entry points called from outside the package
 ENTRY_POINTS = {("cli", "main")}
@@ -88,3 +91,42 @@ def test_check_registry_keeps_no_cache():
                                        ast.ClassDef))
                   for d in node.decorator_list}
     assert not (imported | decorators) & CACHES
+
+
+def _reach():
+    """scripts/reach.py as a module; importing it runs no command."""
+    spec = importlib.util.spec_from_file_location(
+        "reach", ROOT / "scripts" / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reach_allow_list_names_library_code():
+    # a rename in src/ must update the list: each entry names a function or
+    # class of the package, and each statement it covers is in it
+    reach = _reach()
+    defined = reach.definitions(PACKAGE)
+    judged = [(qualname, source) for _, qualname, _, source
+              in reach.judged_statements(PACKAGE)]
+    stale = []
+    for name, caller, pieces in reach.ALLOWED:
+        if name not in defined or not caller:
+            stale.append(name)
+        stale.extend(f"{name}: {piece}" for piece in pieces
+                     if not any(piece in source for qualname, source in judged
+                                if qualname == name
+                                or qualname.startswith(name + ".")))
+    assert stale == []
+
+
+def test_library_holds_no_assert_and_no_float_literal():
+    # `python -O` strips asserts, so no check may rest on one; a float
+    # literal would slip inexact values into exact arithmetic
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Constant)
+                 and isinstance(node.value, (float, complex)))]
+    assert found == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect.checks import build_checks
+from trisect.checks import build_checks, run_verify
 from trisect.report import run_checks
 from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
                              THREE_TORSION, XI, AffineMap,
@@ -13,13 +13,13 @@ from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
                              check_level, common_fibre_classes,
                              contains_locus, curve_locus, curve_triples,
                              enumerate_base_points, expected_base_points,
-                             fibre_intersection_rule, grid, intersect_loci,
+                             fibre_intersection_rule, intersect_loci,
                              intersection_term, locus_A, locus_D, locus_F,
                              locus_Gamma, locus_N, locus_Y, locus_line, member,
                              printed_intersection_table, solve_linear)
 
-from helpers import (build_intersection_table, curve_triples_oracle, locus_B,
-                     locus_M, member_oracle, triple_level)
+from helpers import (build_intersection_table, curve_triples_oracle, grid,
+                     locus_B, locus_M, member_oracle, triple_level)
 
 
 # --- the torsion group ------------------------------------------------------
@@ -102,8 +102,10 @@ def test_solve_linear_insufficient_level():
 
 
 def test_solve_linear_degenerate():
-    assert solve_linear(0, ORIGIN, 6) == frozenset(grid(6))
-    assert solve_linear(0, XI[1], 6) == frozenset()
+    # a = 0 is no linear condition on x: the solver needs a != 0
+    for t in (ORIGIN, XI[1]):
+        with pytest.raises(ValueError):
+            solve_linear(0, t, 6)
     assert solve_linear(-1, ETA[1], 6) == frozenset((-ETA[1],))
 
 
@@ -295,6 +297,9 @@ def test_enumeration_work_is_independent_of_multipliers(make_calls):
 def test_intersect_loci_needs_a_curve():
     with pytest.raises(ValueError):
         intersect_loci(locus_D(XI[1]), locus_F(ORIGIN), 6)
+    # and a surface: two curves are rejected as two surfaces are
+    with pytest.raises(ValueError):
+        intersect_loci(locus_N(ETA[1]), locus_line(1), 6)
 
 
 def test_intersect_loci_insufficient_level():
@@ -394,11 +399,22 @@ def test_base_point_enumeration():
     assert all(not term.triples for term in report.candidate_b_terms)
 
 
+SWEEP_LEVELS = (6, 12, 18, 24, 30, 36, 48, 96, 192, 384, 768)
+
+
 def test_base_points_are_level_stable():
-    at_24 = enumerate_base_points(24).base_points
-    at_48 = enumerate_base_points(48).base_points
-    at_384 = enumerate_base_points(384).base_points
-    assert at_24 == at_48 == at_384
+    at_6 = enumerate_base_points(6).base_points
+    for level in SWEEP_LEVELS:
+        assert enumerate_base_points(level).base_points == at_6, level
+
+
+def test_torsion_suite_across_working_levels():
+    # no FAIL or ERROR at any level; the fixture checks need 24-torsion and
+    # SKIP below it
+    for level in SWEEP_LEVELS:
+        passed, skipped = (14, 32) if level < 24 else (46, 0)
+        assert run_verify(("torsion",), level).summary == {
+            "pass": passed, "fail": 0, "skip": skipped, "error": 0}, level
 
 
 def test_each_base_point_row_runs_its_own_enumeration(monkeypatch):
