@@ -38,6 +38,8 @@ class MixedSurfaceError(ValueError):
     """Raised when classes on Hirzebruch surfaces of different index meet."""
 
 
+# a dataclass: report rows render it through str(), where a tuple renders as
+# a list, and `fe * 3` must not repeat a tuple
 @dataclass(frozen=True)
 class FeClass:
     """Divisor class c0*C0 + l*L on the Hirzebruch surface of index e, where
@@ -147,8 +149,7 @@ def branch_relations(n: int, h: int, t: int) -> BranchNumbers:
     )
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(NamedTuple):
     """One numerical solution family of the quotient constraints.  The
     quotient's canonical self-intersection is ksq_base - h with h the free
     count of K-degree-2 branch components."""

@@ -23,8 +23,7 @@ expression already multiplied out to a number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .covers import FeClass, fe_canonical, fe_chi, fe_genus, fe_pair
 from .rings import (
@@ -53,29 +52,24 @@ class SemanticError(DslError):
 # Syntax tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Scaled:
+class Scaled(NamedTuple):
     value: int
     name: str
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     terms: tuple   # of (sign, Term) with sign '+' or '-'
 
 
@@ -87,8 +81,7 @@ _STATEMENT = re.compile(
     r"^\s*(chi|pair|triple|genus)\s+(E\(2\)|E\(3\)|F\d+)\s*:(.*)$", re.S)
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     head: str
     context: str
     exprs: tuple   # of Sum
@@ -227,6 +220,9 @@ def parse_statement(text: str) -> Statement:
 # ---------------------------------------------------------------------------
 
 class _Context:
+    """Classes as (a, b) coefficient pairs on the context's generators; on
+    F_e a pair becomes an `FeClass` only where a number is read off it."""
+
     def __init__(self, name: str):
         self.name = name
         if name == "E(3)":
@@ -238,25 +234,18 @@ class _Context:
         else:
             self.kind = "Fe"
             self.e = _integer(name[1:])
-            self.classes = {"C0": FeClass(self.e, 1, 0),
-                            "L": FeClass(self.e, 0, 1),
-                            "K": fe_canonical(self.e)}
+            canonical = fe_canonical(self.e)
+            self.classes = {"C0": (1, 0), "L": (0, 1),
+                            "K": (canonical.c0, canonical.l)}
 
-    def scale(self, scalar: int, cls):
-        if self.kind == "Fe":
-            return scalar * cls
-        return (scalar * cls[0], scalar * cls[1])
-
-    def add(self, c1, c2):
-        if self.kind == "Fe":
-            return c1 + c2
-        return (c1[0] + c2[0], c1[1] + c2[1])
+    def fe(self, cls) -> FeClass:
+        return FeClass(self.e, cls[0], cls[1])
 
     def pair(self, c1, c2) -> int:
         if self.kind == "E2":
             return pair_e2(c1, c2)
         if self.kind == "Fe":
-            return fe_pair(c1, c2)
+            return fe_pair(self.fe(c1), self.fe(c2))
         raise SemanticError(
             "a product of two classes is not a number on E(3); "
             "multiply three classes")
@@ -268,13 +257,17 @@ class _Context:
         return triple_product_e3(c1, c2, c3)
 
 
+def _scale(scalar: int, cls) -> tuple:
+    return (scalar * cls[0], scalar * cls[1])
+
+
 def _eval_factor(factor: Factor, ctx: _Context):
     if isinstance(factor, Lit):
         return ("scalar", factor.value)
     if isinstance(factor, Sym):
         return ("class", ctx.classes[factor.name])
     if isinstance(factor, Scaled):
-        return ("class", ctx.scale(factor.value, ctx.classes[factor.name]))
+        return ("class", _scale(factor.value, ctx.classes[factor.name]))
     return _eval_sum_value(factor, ctx)
 
 
@@ -290,7 +283,7 @@ def _eval_term(term: Term, ctx: _Context):
     if not classes:
         return ("scalar", scalar)
     if len(classes) == 1:
-        return ("class", ctx.scale(scalar, classes[0]))
+        return ("class", _scale(scalar, classes[0]))
     if len(classes) == 2:
         return ("scalar", scalar * ctx.pair(*classes))
     if len(classes) == 3:
@@ -304,7 +297,7 @@ def _eval_sum_value(expr: Sum, ctx: _Context):
     for sign, term in expr.terms:
         kind, value = _eval_term(term, ctx)
         if sign == "-":
-            value = -value if kind == "scalar" else ctx.scale(-1, value)
+            value = -value if kind == "scalar" else _scale(-1, value)
         if total_kind is None:
             total_kind, total = kind, value
         elif kind != total_kind:
@@ -312,7 +305,7 @@ def _eval_sum_value(expr: Sum, ctx: _Context):
         elif kind == "scalar":
             total += value
         else:
-            total = ctx.add(total, value)
+            total = (total[0] + value[0], total[1] + value[1])
     return (total_kind, total)
 
 
@@ -325,14 +318,14 @@ def _apply_head(head: str, ctx: _Context, result):
             return chi_symmetric_power(3, value[0], value[1])
         if ctx.kind == "E2":
             return chi_symmetric_power(2, value[0], value[1])
-        return fe_chi(value)
+        return fe_chi(ctx.fe(value))
     if head == "genus":
         if kind != "class":
             raise SemanticError("'genus' needs a divisor class, not a number")
         if ctx.kind == "E2":
             return genus_e2(value)
         if ctx.kind == "Fe":
-            return fe_genus(value)
+            return fe_genus(ctx.fe(value))
         raise SemanticError("'genus' is not defined on E(3)")
     # 'pair' and 'triple' assert the expression already multiplied out
     if kind != "scalar":

@@ -10,9 +10,9 @@ scalar w, so degree-three forms carry an honest action of the quotient
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .curves import Form, ProjPoint, fulton_mult, line_intersection, parse_form
 from .field import Eis, rref, w_pow
@@ -89,8 +89,7 @@ def decompose_degree3(char: Char) -> tuple[Form, ...]:
 # Fixtures: the eigencubics and triangles as printed in hesse_fixtures.txt
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     factors: tuple[Form, Form, Form]
     product: Form
     vertices: tuple[ProjPoint, ProjPoint, ProjPoint]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .torsion import check_level
@@ -22,6 +22,8 @@ SUITES = ("field", "curves", "heisenberg", "torsion", "ring", "lattice",
           "cover", "exclusion")
 
 
+# a dataclass, not a NamedTuple: perfbench's traced run rebinds each
+# check's `run` with dataclasses.replace
 @dataclass(frozen=True)
 class Check:
     """A registered verification step.  run(level) returns (expected,
@@ -34,8 +36,7 @@ class Check:
     min_level: int = 6
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     check_id: str
     paper_ref: str
@@ -56,8 +57,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     torsion_level: int
     results: tuple

@@ -12,7 +12,6 @@ integers or Fractions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -88,8 +87,7 @@ def cohomology_case(n: int, a: int, b: int) -> CohomologyCase:
     return CohomologyCase.ONLY_HN1 if slope > 0 else CohomologyCase.ONLY_HN
 
 
-@dataclass(frozen=True)
-class CurveNumbers:
+class CurveNumbers(NamedTuple):
     """A curve on the third symmetric product, reduced to its two pairing
     numbers against the boundary class D and the sum fibre F."""
 
@@ -169,8 +167,7 @@ def _admissible(kdeg: int, selfint: int) -> bool:
             and 2 + selfint + kdeg >= 0)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """A numerically consistent splitting of the canonical curve into
     reduced irreducible pieces: (K.A, A.A) per component plus the pairwise
     products forced by K = sum of the components."""
@@ -235,8 +232,7 @@ def enumerate_splittings(lo: int = -12, hi: int = 4) -> tuple:
 # The two non-reduced patterns, excluded by explicit certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """An impossibility witnessed by two clashing exact numbers, together
     with the intermediate values that force them."""
 
@@ -445,8 +441,7 @@ def canonical_relations() -> tuple:
     return (rel1, rel2, rel3)
 
 
-@dataclass(frozen=True)
-class DerivedPairing:
+class DerivedPairing(NamedTuple):
     """The fibre-of-genus-two degree against the albanese fibre, derived
     from the first relation and cross-checked against the other two."""
 

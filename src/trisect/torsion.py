@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .fixtures import load_entries
 
@@ -33,6 +34,8 @@ def check_level(m: int) -> int:
     return m
 
 
+# TorsionPt, Triple, AffineMap and Locus stay dataclasses: a tuple-backed
+# torsion value moves the locus latencies, so it is measured as its own change
 @dataclass(frozen=True, order=True)
 class TorsionPt:
     """Element of the torsion group (Q/Z)^2, stored at its minimal level.
@@ -123,6 +126,7 @@ def class_rep(pt: TorsionPt) -> TorsionPt:
 CLASS_REPS = tuple(sorted({class_rep(p) for p in THREE_TORSION}))
 
 
+# a dataclass: see TorsionPt
 @dataclass(frozen=True, order=True)
 class Triple:
     """Unordered triple of torsion points (an effective degree-three cycle)."""
@@ -154,6 +158,7 @@ SURFACE_F = "SURFACE_F"
 SURFACE_Y = "SURFACE_Y"
 
 
+# a dataclass: see TorsionPt
 @dataclass(frozen=True, order=True)
 class AffineMap:
     """x -> shift + mult * x on the torsion group."""
@@ -168,6 +173,7 @@ class AffineMap:
         return TorsionPt.make(m, s.a * u + v * x.a, s.b * u + v * x.b)
 
 
+# a dataclass: see TorsionPt
 @dataclass(frozen=True)
 class Locus:
     """A subvariety of the third symmetric product, described exactly.
@@ -442,15 +448,13 @@ def intersection_term(xs, ds, m: int = DEFAULT_LEVEL) -> frozenset:
     raise ValueError("a term needs at least two divisor constraints to be finite")
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(NamedTuple):
     xs: tuple
     ds: tuple
     triples: frozenset
 
 
-@dataclass(frozen=True)
-class BasePointReport:
+class BasePointReport(NamedTuple):
     base_points: frozenset
     terms: tuple
     nonempty_terms: tuple

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from trisect.checks import run_verify
 from trisect.cli import main
+from trisect.heisenberg import printed_eigencubics, triangles
 from trisect.report import Check, run_checks
 
 
@@ -158,6 +160,27 @@ def test_check_ids_unique_within_a_run(capsys):
     payload = json.loads(capsys.readouterr().out)
     ids = [r["check_id"] for r in payload["results"]]
     assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("suites, parsed", [(("all",), True),
+                                            (("heisenberg",), True),
+                                            (("field",), False)])
+def test_heisenberg_fixtures_are_parsed_before_rows_are_timed(
+        monkeypatch, suites, parsed):
+    # a fixture parsed inside run_checks is charged to the first row that
+    # reads it, while its siblings skip the parse
+    fixtures = (triangles, printed_eigencubics)
+    for loader in fixtures:
+        loader.cache_clear()
+    entered = []
+
+    def run_checks_spy(rows, level):
+        entered.append([loader.cache_info().currsize > 0
+                        for loader in fixtures])
+        return run_checks([], level)
+    monkeypatch.setattr("trisect.checks.run_checks", run_checks_spy)
+    run_verify(suites, 24)
+    assert entered == [[parsed, parsed]]
 
 
 def test_failure_exit_code(monkeypatch, capsys):

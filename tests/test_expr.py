@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisect.covers import FeClass, fe_canonical, fe_chi, fe_genus, fe_pair
 from trisect.expr import (
     Lit,
     ParseError,
@@ -15,6 +16,14 @@ from trisect.expr import (
     Term,
     evaluate_statement,
     parse_statement,
+)
+from trisect.rings import (
+    E2_CANONICAL,
+    E3_CANONICAL,
+    chi_symmetric_power,
+    genus_e2,
+    pair_e2,
+    triple_product_e3,
 )
 
 from helpers import statement_text
@@ -125,3 +134,77 @@ def _statements():
 @given(_statements())
 def test_print_parse_round_trip(stmt):
     assert parse_statement(statement_text(stmt)) == stmt
+
+
+# ---------------------------------------------------------------------------
+# Differential test: statements against the library called directly
+# ---------------------------------------------------------------------------
+
+def _class_text(cls, gens) -> str:
+    """a*g0 + b*g1 in the grammar: a leading minus sign, and every
+    coefficient written, zero included."""
+    (a, b), (g0, g1) = cls, gens
+    head = f"-{-a}{g0}" if a < 0 else f"{a}{g0}"
+    return f"{head} {'-' if b < 0 else '+'} {abs(b)}{g1}"
+
+
+class _Drawn:
+    """A class drawn as k*(c1) + sign*c2 [+ K], its statement text, and the
+    coefficient pair the text stands for."""
+
+    def __init__(self, context, k, c1, sign, c2, with_k):
+        gens = _symbols(context)[:2]
+        self.text = (f"{k}*({_class_text(c1, gens)}) {sign} "
+                     f"({_class_text(c2, gens)})" + (" + K" if with_k else ""))
+        s = 1 if sign == "+" else -1
+        canonical = _canonical(context) if with_k else (0, 0)
+        self.pair = (k * c1[0] + s * c2[0] + canonical[0],
+                     k * c1[1] + s * c2[1] + canonical[1])
+
+
+def _canonical(context):
+    if context == "E(3)":
+        return E3_CANONICAL
+    if context == "E(2)":
+        return E2_CANONICAL
+    k = fe_canonical(int(context[1:]))
+    return (k.c0, k.l)
+
+
+_coefficients = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _drawn(context):
+    return st.builds(_Drawn, st.just(context), st.integers(0, 5),
+                     _coefficients, st.sampled_from("+-"), _coefficients,
+                     st.booleans())
+
+
+_EVAL_CONTEXTS = st.sampled_from(
+    ("E(3)", "E(2)") + tuple(f"F{e}" for e in range(5)))
+
+
+@given(_EVAL_CONTEXTS.flatmap(
+    lambda ctx: st.tuples(st.just(ctx), st.lists(_drawn(ctx), min_size=3,
+                                                 max_size=3))))
+def test_statements_match_the_library(drawn):
+    context, (x, y, z) = drawn
+    if context == "E(3)":
+        assert evaluate_statement(f"chi E(3): {x.text}") == (
+            chi_symmetric_power(3, *x.pair),)
+        assert evaluate_statement(
+            f"triple E(3): ({x.text})*({y.text})*({z.text})") == (
+            triple_product_e3(x.pair, y.pair, z.pair),)
+        return
+    if context == "E(2)":
+        chi = chi_symmetric_power(2, *x.pair)
+        genus = genus_e2(x.pair)
+        pair = pair_e2(x.pair, y.pair)
+    else:
+        e = int(context[1:])
+        d1, d2 = FeClass(e, *x.pair), FeClass(e, *y.pair)
+        chi, genus, pair = fe_chi(d1), fe_genus(d1), fe_pair(d1, d2)
+    assert evaluate_statement(f"chi {context}: {x.text}") == (chi,)
+    assert evaluate_statement(f"genus {context}: {x.text}") == (genus,)
+    assert evaluate_statement(
+        f"pair {context}: ({x.text})*({y.text})") == (pair,)

@@ -127,3 +127,82 @@ def test_mul_matches_complex_model(a, b, c, d):
     z = x * y
     assert z.a == a * c - b * d
     assert z.b == a * d + b * c - b * d
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a Fraction-only reference
+# ---------------------------------------------------------------------------
+
+def _matrix(p):
+    """a + b*w as the matrix of multiplication by it on the basis (1, w):
+    1 -> a + b*w and w -> -b + (a - b)*w, since w^2 = -1 - w."""
+    a, b = p
+    return ((a, -b), (b, a - b))
+
+
+def _ref_mul(p, q):
+    (m00, m01), (m10, m11) = _matrix(p)
+    c, d = q
+    return (m00 * c + m01 * d, m10 * c + m11 * d)
+
+
+def _ref_norm(p):
+    (m00, m01), (m10, m11) = _matrix(p)
+    return m00 * m11 - m01 * m10
+
+
+def _ref_inverse(p):
+    # first column of the inverse matrix: the adjugate over the determinant
+    (m00, m01), (m10, m11) = _matrix(p)
+    det = _ref_norm(p)
+    return (m11 / det, -m10 / det)
+
+
+def _ref_pow(p, k):
+    base = _ref_inverse(p) if k < 0 else p
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, base)
+    return out
+
+
+def _ref_value(rng, integral: bool):
+    if integral:
+        return Fraction(rng.randint(-40, 40))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def _pair_of(x: Eis) -> tuple:
+    return (x.a, x.b)
+
+
+def test_operations_match_a_fraction_pair_reference():
+    # values with and without denominators, so that an integer fast path
+    # inside Eis is compared with plain Fraction arithmetic on both
+    rng = random.Random(15)
+    for index in range(600):
+        integral = index % 2 == 0
+        p = (_ref_value(rng, integral), _ref_value(rng, integral))
+        q = (_ref_value(rng, integral), _ref_value(rng, not integral))
+        n = rng.randint(-9, 9)
+        x, y = Eis(*p), Eis(*q)
+        assert _pair_of(x + y) == (p[0] + q[0], p[1] + q[1])
+        assert _pair_of(x - y) == (p[0] - q[0], p[1] - q[1])
+        assert _pair_of(-x) == (-p[0], -p[1])
+        assert _pair_of(x * y) == _ref_mul(p, q)
+        assert _pair_of(x + n) == (p[0] + n, p[1])
+        assert _pair_of(n - x) == (n - p[0], -p[1])
+        assert _pair_of(n * x) == _ref_mul((n, 0), p)
+        assert _pair_of(x.conj()) == (p[0] - p[1], -p[1])
+        norm = x.norm()
+        assert type(norm) is Fraction and norm == _ref_norm(p)
+        k = rng.randint(0, 5)
+        assert _pair_of(x ** k) == _ref_pow(p, k)
+        if not x:
+            continue
+        assert _pair_of(x.inverse()) == _ref_inverse(p)
+        assert _pair_of(y / x) == _ref_mul(q, _ref_inverse(p))
+        assert _pair_of(n / x) == _ref_mul((n, 0), _ref_inverse(p))
+        assert _pair_of(x ** -k) == _ref_pow(p, -k)
+        if n:
+            assert _pair_of(x / n) == (p[0] / n, p[1] / n)

@@ -1,11 +1,15 @@
 """Source layout: every top-level function and class in the library has a
 caller in the library itself, so nothing in `src/` exists only for the
 tests; the reach audit's allow-list names library code; the check registry
-keeps no cache; and the library holds no assert and no float literal."""
+keeps no cache; the library holds no assert and no float literal; and
+plain records are NamedTuples, with a stated reason for each dataclass."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+from trisect.checks import build_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "trisect"
@@ -130,3 +134,37 @@ def test_library_holds_no_assert_and_no_float_literal():
              or (isinstance(node, ast.Constant)
                  and isinstance(node.value, (float, complex)))]
     assert found == []
+
+
+_TORSION_VALUE = "a tuple-backed torsion value is its own change"
+
+# the only dataclasses of the library, each with the reason it is not a
+# NamedTuple; every other record is one, as a NamedTuple is cheaper to build
+DATACLASSES = {
+    ("report", "Check"):
+        "perfbench's traced run rebinds each check's run with"
+        " dataclasses.replace",
+    ("covers", "FeClass"):
+        "report rows hold it and render it through str(), where a tuple"
+        " renders as a list; and fe * 3 must not repeat a tuple",
+    ("torsion", "TorsionPt"): _TORSION_VALUE,
+    ("torsion", "Triple"): _TORSION_VALUE,
+    ("torsion", "AffineMap"): _TORSION_VALUE,
+    ("torsion", "Locus"): _TORSION_VALUE,
+}
+
+
+def test_dataclasses_are_the_listed_ones():
+    found = {(path.stem, node.name)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(_name(d) == "dataclass" for d in node.decorator_list)}
+    assert found == set(DATACLASSES)
+
+
+def test_every_check_takes_a_replaced_run():
+    # the call perfbench's traced run makes on each check
+    for check in build_checks(("all",)):
+        traced = dataclasses.replace(check, run=print)
+        assert traced.run is print and traced.check_id == check.check_id
