@@ -94,8 +94,6 @@ ALLOWED = (
      "README library map: a curve whose three maps are constant",
      ("return Triple.of(*(mp.shift for mp in locus.maps)) == triple",)),
     # reached only when a claim fails
-    ("checks._step", "reached only when a claim fails: the order note",
-     ('return f"step order changed',)),
     ("checks._pair_actual", "reached only when a claim fails: a mixed entry",
      ("observed.append((cls, str(mults)))",)),
     ("torsion.intersection_term",
@@ -103,14 +101,6 @@ ALLOWED = (
      ("return frozenset((candidate,))",)),
     ("rings.format_e2_class",
      "reached only when a claim fails: a class sum with a zero coefficient",
-     ("continue",)),
-    # rules of a derivation that prune no candidate in the searched ranges
-    ("rings.enumerate_splittings",
-     "canonical-splittings rows: at most one rational component of two,"
-     " and integral pairings of three",
-     ("continue",)),
-    ("rings.certificate_double_component",
-     "non-reduced-exclusions row: p_a(B) >= 0",
      ("continue",)),
 )
 

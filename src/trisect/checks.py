@@ -75,13 +75,9 @@ def _certificate(cert) -> tuple:
     return cert.pattern, (cert.conflict[0][1], cert.conflict[1][1]), cert.derived
 
 
-def _step(steps, index: int, name: str, level):
-    """Value of the named step of a derivation, or a note that the steps
-    are no longer in the stated order."""
-    step_name, value = steps()[index]
-    if step_name != name:
-        return f"step order changed: {step_name}"
-    return value
+def _step(steps, name: str, level):
+    """Value of the named step of a derivation."""
+    return dict(steps())[name]
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +506,13 @@ def _cover_rows() -> list:
               partial(_family_constraints, index))
              for index, label in enumerate(("a", "b"))]
     rows += [(f"pipeline-{_slug(name)}", "branch-pipeline", expected,
-              partial(_step, derive_branch_class, index, name))
-             for index, (name, expected) in enumerate(_PIPELINE_EXPECTED)]
+              partial(_step, derive_branch_class, name))
+             for name, expected in _PIPELINE_EXPECTED]
     rows.append(("branch-table", "branch-table", _BRANCH_TABLE_EXPECTED,
                  lambda _: verify_branch_table()))
     rows += [(f"image-{_slug(name)}", "image-classes", expected,
-              partial(_step, derive_image_classes, index, name))
-             for index, (name, expected) in enumerate(_IMAGE_EXPECTED)]
+              partial(_step, derive_image_classes, name))
+             for name, expected in _IMAGE_EXPECTED]
     rows.append(("albanese-component-meeting", "image-classes",
                  (28, (28, 28, 28)), _albanese_meeting))
     return rows

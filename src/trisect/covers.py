@@ -21,6 +21,7 @@ from .rings import (
     FIBRE_CLASS_CURVE,
     ObstructionCertificate,
     certify,
+    gram_matrix,
     noether_invariants,
     pairing_vector,
 )
@@ -333,7 +334,7 @@ def verify_branch_table() -> dict:
         sum(m * (m - 1) // 2 for m in row) == fe_genus(FeClass(2, 2, 5))
         for row in rows)
     vec = {name: pairing_vector(name) for name in ("A1", "A2", "A3")}
-    order = ("K", "G", "B12", "B13", "B23", "M1", "M2", "M3", "M4")
+    order = gram_matrix("gram9")[0]
     agree = True
     for row, name in zip(rows, ("A1", "A2", "A3")):
         for col, basis in (("x12", "B12"), ("x13", "B13"), ("x23", "B23")):
@@ -363,7 +364,7 @@ def derive_image_classes() -> tuple:
     # base multiplicities of the moving albanese image, from the stored
     # pairing vectors: degree 2 at each x point, 1 at each m, 3 at each n
     f0 = pairing_vector("F0")
-    order = ("K", "G", "B12", "B13", "B23", "M1", "M2", "M3", "M4")
+    order = gram_matrix("gram9")[0]
     x_mult = {f0[order.index(name)] for name in ("B12", "B13", "B23")}
     m_mult = {f0[order.index(f"M{k}")] for k in (1, 2, 3, 4)}
     certify(x_mult == {2} and m_mult == {1}, "albanese base multiplicities")

@@ -23,7 +23,7 @@ expression already multiplied out to a number.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .covers import FeClass, fe_canonical, fe_chi, fe_genus, fe_pair
 from .rings import (
@@ -75,10 +75,52 @@ class Sum(NamedTuple):
 
 Factor = Union[Lit, Sym, Scaled, Sum]
 
-HEADS = ("chi", "pair", "triple", "genus")
+
+# ---------------------------------------------------------------------------
+# Contexts
+# ---------------------------------------------------------------------------
+
+class _Context(NamedTuple):
+    """One context as a row: its classes as (a, b) coefficient pairs on the
+    generators, K among them, and the integer each quantity gives on
+    classes, None where the context does not define the quantity."""
+
+    name: str
+    classes: dict
+    chi: Optional[Callable]      # class -> int
+    pair: Optional[Callable]     # class, class -> int
+    triple: Optional[Callable]   # class, class, class -> int
+    genus: Optional[Callable]    # class -> int
+
+
+_E3 = _Context("E(3)", {"D": (1, 0), "F": (0, 1), "K": E3_CANONICAL},
+               chi=lambda c: chi_symmetric_power(3, *c), pair=None,
+               triple=triple_product_e3, genus=None)
+_E2 = _Context("E(2)", {"h": (1, 0), "f": (0, 1), "K": E2_CANONICAL},
+               chi=lambda c: chi_symmetric_power(2, *c), pair=pair_e2,
+               triple=None, genus=genus_e2)
+_FIXED_CONTEXTS = {ctx.name: ctx for ctx in (_E3, _E2)}
+
+
+def _fe_context(name: str) -> _Context:
+    """The Hirzebruch surface F<e>: a pair becomes an `FeClass` only where a
+    number is read off it."""
+    e = _integer(name[1:])
+    canonical = fe_canonical(e)
+    return _Context(
+        name, {"C0": (1, 0), "L": (0, 1), "K": (canonical.c0, canonical.l)},
+        lambda c: fe_chi(FeClass(e, *c)),
+        lambda c1, c2: fe_pair(FeClass(e, *c1), FeClass(e, *c2)),
+        None,   # no triple product
+        lambda c: fe_genus(FeClass(e, *c)))
+
+
+# a head names the quantity of the row it reads
+HEADS = _Context._fields[2:]
 
 _STATEMENT = re.compile(
-    r"^\s*(chi|pair|triple|genus)\s+(E\(2\)|E\(3\)|F\d+)\s*:(.*)$", re.S)
+    rf"^\s*({'|'.join(HEADS)})"
+    rf"\s+({'|'.join(map(re.escape, _FIXED_CONTEXTS))}|F\d+)\s*:(.*)$", re.S)
 
 
 class Statement(NamedTuple):
@@ -87,7 +129,7 @@ class Statement(NamedTuple):
     exprs: tuple   # of Sum
 
     def evaluate(self) -> tuple:
-        ctx = _Context(self.context)
+        ctx = _FIXED_CONTEXTS.get(self.context) or _fe_context(self.context)
         return tuple(_apply_head(self.head, ctx, _eval_sum_value(e, ctx))
                      for e in self.exprs)
 
@@ -96,7 +138,9 @@ class Statement(NamedTuple):
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(C0|[DFhfLK]|\d+|[-+*(),])")
+# a symbol is letters with an optional index, as C0; the context's classes
+# say which symbols it knows
+_TOKEN = re.compile(r"\s*([A-Za-z]+\d*|\d+|[-+*(),])")
 
 # Each nesting level costs the parser and the evaluator three stack frames,
 # so this bound keeps both well inside the interpreter's recursion limit.
@@ -127,16 +171,16 @@ def _integer(digits: str) -> int:
 
 class _Parser:
     def __init__(self, tokens, symbols):
-        self.tokens = tokens
+        self.tokens = tokens + [None]   # None marks the end
         self.symbols = symbols
         self.pos = 0
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise ParseError("unexpected end of statement")
         self.pos += 1
@@ -189,16 +233,8 @@ class _Parser:
         raise ParseError(f"unexpected token {token!r}")
 
 
-_CONTEXT_SYMBOLS = {
-    "E(3)": ("D", "F", "K"),
-    "E(2)": ("h", "f", "K"),
-}
-
-
-def _context_symbols(context: str) -> tuple:
-    if context in _CONTEXT_SYMBOLS:
-        return _CONTEXT_SYMBOLS[context]
-    return ("C0", "L", "K")
+# the parser reads only a context's symbols, and every F<e> has those of F0
+_F0 = _fe_context("F0")
 
 
 def parse_statement(text: str) -> Statement:
@@ -211,7 +247,7 @@ def parse_statement(text: str) -> Statement:
     tokens = _tokenize(rest)
     if not tokens:
         raise ParseError("statement has no expression")
-    parser = _Parser(tokens, _context_symbols(context))
+    parser = _Parser(tokens, _FIXED_CONTEXTS.get(context, _F0).classes)
     return Statement(head, context, parser.parse_exprs())
 
 
@@ -219,55 +255,19 @@ def parse_statement(text: str) -> Statement:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-class _Context:
-    """Classes as (a, b) coefficient pairs on the context's generators; on
-    F_e a pair becomes an `FeClass` only where a number is read off it."""
-
-    def __init__(self, name: str):
-        self.name = name
-        if name == "E(3)":
-            self.kind = "E3"
-            self.classes = {"D": (1, 0), "F": (0, 1), "K": E3_CANONICAL}
-        elif name == "E(2)":
-            self.kind = "E2"
-            self.classes = {"h": (1, 0), "f": (0, 1), "K": E2_CANONICAL}
-        else:
-            self.kind = "Fe"
-            self.e = _integer(name[1:])
-            canonical = fe_canonical(self.e)
-            self.classes = {"C0": (1, 0), "L": (0, 1),
-                            "K": (canonical.c0, canonical.l)}
-
-    def fe(self, cls) -> FeClass:
-        return FeClass(self.e, cls[0], cls[1])
-
-    def pair(self, c1, c2) -> int:
-        if self.kind == "E2":
-            return pair_e2(c1, c2)
-        if self.kind == "Fe":
-            return fe_pair(self.fe(c1), self.fe(c2))
-        raise SemanticError(
-            "a product of two classes is not a number on E(3); "
-            "multiply three classes")
-
-    def triple(self, c1, c2, c3) -> int:
-        if self.kind != "E3":
-            raise SemanticError(
-                f"a product of three classes is not defined on {self.name}")
-        return triple_product_e3(c1, c2, c3)
-
-
 def _scale(scalar: int, cls) -> tuple:
     return (scalar * cls[0], scalar * cls[1])
 
 
+# A value is an int (a number) or an (a, b) tuple (a class).
+
 def _eval_factor(factor: Factor, ctx: _Context):
     if isinstance(factor, Lit):
-        return ("scalar", factor.value)
+        return factor.value
     if isinstance(factor, Sym):
-        return ("class", ctx.classes[factor.name])
+        return ctx.classes[factor.name]
     if isinstance(factor, Scaled):
-        return ("class", _scale(factor.value, ctx.classes[factor.name]))
+        return _scale(factor.value, ctx.classes[factor.name])
     return _eval_sum_value(factor, ctx)
 
 
@@ -275,66 +275,50 @@ def _eval_term(term: Term, ctx: _Context):
     scalar = 1
     classes = []
     for factor in term.factors:
-        kind, value = _eval_factor(factor, ctx)
-        if kind == "scalar":
-            scalar *= value
-        else:
+        value = _eval_factor(factor, ctx)
+        if isinstance(value, tuple):
             classes.append(value)
+        else:
+            scalar *= value
     if not classes:
-        return ("scalar", scalar)
+        return scalar
     if len(classes) == 1:
-        return ("class", _scale(scalar, classes[0]))
-    if len(classes) == 2:
-        return ("scalar", scalar * ctx.pair(*classes))
-    if len(classes) == 3:
-        return ("scalar", scalar * ctx.triple(*classes))
-    raise SemanticError("a term may multiply at most three classes")
+        return _scale(scalar, classes[0])
+    product = {2: ctx.pair, 3: ctx.triple}.get(len(classes))
+    if product is None:
+        raise SemanticError(
+            f"a product of {len(classes)} classes is not a number on {ctx.name}")
+    return scalar * product(*classes)
 
 
 def _eval_sum_value(expr: Sum, ctx: _Context):
-    total_kind = None
     total = None
     for sign, term in expr.terms:
-        kind, value = _eval_term(term, ctx)
+        value = _eval_term(term, ctx)
+        is_class = isinstance(value, tuple)
         if sign == "-":
-            value = -value if kind == "scalar" else _scale(-1, value)
-        if total_kind is None:
-            total_kind, total = kind, value
-        elif kind != total_kind:
+            value = _scale(-1, value) if is_class else -value
+        if total is None:
+            total = value
+        elif is_class != isinstance(total, tuple):
             raise SemanticError("cannot add a number to a divisor class")
-        elif kind == "scalar":
-            total += value
-        else:
+        elif is_class:
             total = (total[0] + value[0], total[1] + value[1])
-    return (total_kind, total)
+        else:
+            total += value
+    return total
 
 
-def _apply_head(head: str, ctx: _Context, result):
-    kind, value = result
-    if head == "chi":
-        if kind != "class":
-            raise SemanticError("'chi' needs a divisor class, not a number")
-        if ctx.kind == "E3":
-            return chi_symmetric_power(3, value[0], value[1])
-        if ctx.kind == "E2":
-            return chi_symmetric_power(2, value[0], value[1])
-        return fe_chi(ctx.fe(value))
-    if head == "genus":
-        if kind != "class":
-            raise SemanticError("'genus' needs a divisor class, not a number")
-        if ctx.kind == "E2":
-            return genus_e2(value)
-        if ctx.kind == "Fe":
-            return fe_genus(ctx.fe(value))
-        raise SemanticError("'genus' is not defined on E(3)")
+def _apply_head(head: str, ctx: _Context, value):
+    takes_class = head in ("chi", "genus")
+    if isinstance(value, tuple) != takes_class:
+        raise SemanticError(f"'{head}' needs a divisor class" if takes_class
+                            else f"'{head}' needs a fully multiplied expression")
+    quantity = getattr(ctx, head)
+    if quantity is None:
+        raise SemanticError(f"'{head}' is not defined on {ctx.name}")
     # 'pair' and 'triple' assert the expression already multiplied out
-    if kind != "scalar":
-        raise SemanticError(f"'{head}' needs a fully multiplied expression")
-    if head == "pair" and ctx.kind == "E3":
-        raise SemanticError("'pair' is not defined on E(3); use 'triple'")
-    if head == "triple" and ctx.kind != "E3":
-        raise SemanticError(f"'triple' is only defined on E(3), not {ctx.name}")
-    return value
+    return quantity(value) if takes_class else value
 
 
 def evaluate_statement(text: str) -> tuple:

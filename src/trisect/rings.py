@@ -205,22 +205,22 @@ def enumerate_splittings(lo: int = -12, hi: int = 4) -> tuple:
         if not lo <= b_sq <= hi or not _admissible(1, b_sq):
             continue
         genera = (component_genus(2, a_sq), component_genus(1, b_sq))
-        if sum(1 for g in genera if g == 0) > 1:
-            continue
+        # a rational A (A.A = -4) forces p_a(B) = -1; a rational B forces
+        # p_a(A) = 1
+        certify(genera.count(0) <= 1, "at most one rational component of two")
         found.append((((2, a_sq), (1, b_sq)), ((0, 1, ab),), genera))
     # three components: K.A_i = 1 each
     singles = [s for s in range(hi, lo - 1, -1) if _admissible(1, s)]
     for s1, s2, s3 in combinations_with_replacement(singles, 3):
-        x = Fraction(1 - s1 - s2 + s3, 2)   # A1.A2
-        y = Fraction(1 - s1 - s3 + s2, 2)   # A1.A3
-        z = Fraction(1 - s2 - s3 + s1, 2)   # A2.A3
-        if any(v.denominator != 1 for v in (x, y, z)):
-            continue
+        twice = (1 - s1 - s2 + s3, 1 - s1 - s3 + s2, 1 - s2 - s3 + s1)
+        # _admissible(1, s) makes each s odd, so each of these is even
+        certify(all(t % 2 == 0 for t in twice), "integral pairings of three")
+        x, y, z = (t // 2 for t in twice)   # A1.A2, A1.A3, A2.A3
         genera = tuple(component_genus(1, s) for s in (s1, s2, s3))
-        if sum(1 for g in genera if g == 0) > 1:
+        if genera.count(0) > 1:
             continue
         found.append((((1, s1), (1, s2), (1, s3)),
-                      ((0, 1, int(x)), (0, 2, int(y)), (1, 2, int(z))), genera))
+                      ((0, 1, x), (0, 2, y), (1, 2, z)), genera))
     out = []
     for components, pairwise, genera in found:
         label = _SIGNATURES.get((components, pairwise), "?")
@@ -273,11 +273,9 @@ def certificate_double_component() -> ObstructionCertificate:
     # B.B from genus additivity: p_a(K) = p_a(2A) + p_a(B) + 2 A.B - 1
     solutions = []
     for b_sq in range(-3, 1):
-        if (b_sq + kb) % 2 or KSQ * b_sq > kb * kb:
+        if not _admissible(kb, b_sq):
             continue
         pa_b = component_genus(kb, b_sq)
-        if pa_b < 0:
-            continue
         ab = Fraction(CANONICAL_GENUS - pa_2a - pa_b + 1, 2)
         if ab.denominator == 1:
             solutions.append((b_sq, pa_b, int(ab)))

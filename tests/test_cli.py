@@ -10,6 +10,7 @@ import pytest
 
 from trisect.checks import run_verify
 from trisect.cli import main
+from trisect.covers import derive_branch_class
 from trisect.heisenberg import printed_eigencubics, triangles
 from trisect.report import Check, run_checks
 
@@ -34,10 +35,10 @@ def _rows_sha256(text: str) -> str:
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
-def _run_python(*args) -> subprocess.CompletedProcess:
+def _run_python(*args, hash_seed: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          timeout=300)
+                          text=True, env=env, timeout=300)
 
 
 def test_verify_json_shape(capsys):
@@ -62,11 +63,15 @@ def test_verify_json_deterministic(capsys):
 
 
 def test_verify_under_optimize_flag_gives_the_same_rows():
-    # certificates must not live in asserts, which -O strips
-    plain = _run_python("-m", "trisect.cli", "verify")
-    optimized = _run_python("-O", "-m", "trisect.cli", "verify")
+    # certificates must not live in asserts, which -O strips; the two hash
+    # seeds show that no row depends on the iteration order of a set
+    plain = _run_python("-m", "trisect.cli", "verify", hash_seed="0")
+    optimized = _run_python("-O", "-m", "trisect.cli", "verify",
+                            hash_seed="12345")
     assert plain.returncode == optimized.returncode == 0
     assert _strip_millis(optimized.stdout) == _strip_millis(plain.stdout)
+    assert _rows_sha256(plain.stdout) == REPORT_ROWS_SHA256
+    assert _rows_sha256(optimized.stdout) == REPORT_ROWS_SHA256
 
 
 def test_verify_markdown(capsys):
@@ -214,6 +219,19 @@ def test_raising_check_is_reported_and_the_rest_run(monkeypatch, capsys):
     assert main(["verify", "--format", "markdown"]) == 1
     assert "1 passed, 0 failed, 1 raised an error, 0 skipped." in (
         capsys.readouterr().out)
+
+
+def test_renamed_derivation_step_is_an_error_row(monkeypatch):
+    # a pipeline row looks its step up by name, so a renamed step cannot be
+    # read as the value of another
+    steps = tuple(("fibre degree" if name == "fibre canonical degree" else name,
+                   value) for name, value in derive_branch_class())
+    monkeypatch.setattr("trisect.checks.derive_branch_class", lambda: steps)
+    rows = {r.check_id: r for r in run_verify(("cover",), 24).results}
+    renamed = rows["pipeline-fibre-canonical-degree"]
+    assert renamed.status == "ERROR"
+    assert renamed.actual == "KeyError: 'fibre canonical degree'"
+    assert rows["pipeline-h0-k-g"].status == "PASS"
 
 
 def test_unrenderable_value_is_reported_and_the_rest_run(monkeypatch, capsys):

@@ -41,6 +41,19 @@ def test_form_parse_round_trip_samples():
         assert parse_form(str(f)) == f
 
 
+def test_malformed_form_literals():
+    for bad in (
+        "",                 # empty literal
+        "x0 + ",            # empty term
+        "(w*x0",            # unbalanced parentheses
+        "x3",               # unknown variable
+        "x0^a",             # exponent that is not an integer
+        "x0 + x1^2",        # terms of different degrees
+    ):
+        with pytest.raises(ValueError):
+            parse_form(bad)
+
+
 def test_proj_point_canonicalisation():
     assert ProjPoint(0, 2, 2 * W) == ProjPoint(0, 1, W)
     assert ProjPoint(3, 6, 9) == ProjPoint(1, 2, 3)

@@ -137,7 +137,7 @@ def test_print_parse_round_trip(stmt):
 
 
 # ---------------------------------------------------------------------------
-# Differential test: statements against the library called directly
+# Differential tests: statements against the library called directly
 # ---------------------------------------------------------------------------
 
 def _class_text(cls, gens) -> str:
@@ -169,6 +169,36 @@ def _canonical(context):
         return E2_CANONICAL
     k = fe_canonical(int(context[1:]))
     return (k.c0, k.l)
+
+
+# the library's value of each head on each context that defines it, from the
+# classes x, y, z; every other pair of a head and a context is undefined
+_DEFINED = {
+    ("chi", "E(3)"): lambda x, y, z: chi_symmetric_power(3, *x),
+    ("triple", "E(3)"): lambda x, y, z: triple_product_e3(x, y, z),
+    ("chi", "E(2)"): lambda x, y, z: chi_symmetric_power(2, *x),
+    ("pair", "E(2)"): lambda x, y, z: pair_e2(x, y),
+    ("genus", "E(2)"): lambda x, y, z: genus_e2(x),
+    ("chi", "F2"): lambda x, y, z: fe_chi(FeClass(2, *x)),
+    ("pair", "F2"): lambda x, y, z: fe_pair(FeClass(2, *x), FeClass(2, *y)),
+    ("genus", "F2"): lambda x, y, z: fe_genus(FeClass(2, *x)),
+}
+
+
+def test_every_head_on_every_context():
+    classes = ((4, -1), (-3, 2), (1, 5))
+    for context in ("E(3)", "E(2)", "F2"):
+        x, y, z = (f"({_class_text(c, _symbols(context)[:2])})"
+                   for c in classes)
+        for head, text in (("chi", x), ("pair", f"{x}*{y}"),
+                           ("triple", f"{x}*{y}*{z}"), ("genus", x)):
+            statement = f"{head} {context}: {text}"
+            if (head, context) in _DEFINED:
+                assert evaluate_statement(statement) == (
+                    _DEFINED[head, context](*classes),), statement
+            else:
+                with pytest.raises(SemanticError):
+                    evaluate_statement(statement)
 
 
 _coefficients = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
