@@ -79,9 +79,6 @@ ALLOWED = (
     ("field.Eis", "README library map: Q(w) values and their operators", ()),
     ("curves.Form", "README library map: forms over Q(w) and their operators", ()),
     ("curves.ProjPoint", "README library map: projective points", ()),
-    ("curves._split_terms",
-     "README library map: a form literal with a leading sign",
-     ("sign = -1 if s[0]", "i = 1")),
     ("curves._parse_term",
      "README library map: a form literal with a plain number, as Form prints",
      ("coef = coef * Eis(Fraction(factor))",)),
@@ -93,14 +90,18 @@ ALLOWED = (
     ("torsion.member",
      "README library map: a curve whose three maps are constant",
      ("return Triple.of(*(mp.shift for mp in locus.maps)) == triple",)),
-    # reached only when a claim fails
-    ("checks._pair_actual", "reached only when a claim fails: a mixed entry",
+    # reached only when a claim fails, each by the test it names
+    ("checks._pair_actual",
+     "reached only when a claim fails: a mixed entry, fed by"
+     " tests/test_heisenberg.py::test_pair_row_reports_a_mixed_entry",
      ("observed.append((cls, str(mults)))",)),
     ("torsion.intersection_term",
-     "reached only when a claim fails: a three-anchor term that meets",
+     "reached only when a claim fails: a three-anchor term that meets, fed by"
+     " tests/test_torsion.py::test_boundary_row_reports_a_three_anchor_hit",
      ("return frozenset((candidate,))",)),
     ("rings.format_e2_class",
-     "reached only when a claim fails: a class sum with a zero coefficient",
+     "reached only when a claim fails: a class sum with a zero coefficient,"
+     " as tests/test_rings.py::test_e2_class_literals_round_trip prints one",
      ("continue",)),
 )
 

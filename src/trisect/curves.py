@@ -22,13 +22,6 @@ VAR_NAMES = ("x0", "x1", "x2")
 class _Infinite:
     """Sentinel for an infinite local intersection multiplicity."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "INFINITE"
 
@@ -101,13 +94,6 @@ class Form:
         c = _coerce_eis(c)
         return Form({m: c * v for m, v in self.coeffs.items()})
 
-    def evaluate(self, point: "ProjPoint") -> Eis:
-        coords = point.coords
-        total = Eis(0)
-        for (e0, e1, e2), c in self.coeffs.items():
-            total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2
-        return total
-
     def monic(self) -> "Form":
         """Scale so the lex-largest monomial has coefficient one."""
         if not self.coeffs:
@@ -146,42 +132,38 @@ def linear_form(c0, c1, c2) -> Form:
 
 
 def parse_form(text: str) -> Form:
-    """Parse the format emitted by Form.__str__ (plus leading minus signs)."""
+    """Parse the format emitted by Form.__str__ (plus leading signs).
+
+    A literal with no leading sign gets a `+`, so every term has a sign;
+    an empty literal is then one empty term."""
+    s = text.strip()
+    if not s.startswith(("+", "-")):
+        s = "+" + s
     coeffs: dict[Monomial, Eis] = {}
-    for sign, term in _split_terms(text):
+    # the first piece is the empty text before the first sign
+    for sign, term in _split_top(s, "+-")[1:]:
         mono, coef = _parse_term(term)
-        coef = coef if sign > 0 else -coef
+        coef = -coef if sign == "-" else coef
         coeffs[mono] = coeffs.get(mono, Eis(0)) + coef
     return Form(coeffs)
 
 
-def _split_terms(text: str):
-    s = text.strip()
-    if not s:
-        raise ValueError("empty form literal")
-    terms = []
+def _split_top(text: str, separators: str) -> list:
+    """Split text at each separator outside parentheses, as (separator,
+    piece) pairs; the first piece has the empty separator."""
+    pieces = []
     depth = 0
-    sign = 1
-    current = []
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
+    sep, start = "", 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if depth == 0 and ch in "+-":
-            terms.append((sign, "".join(current)))
-            sign = -1 if ch == "-" else 1
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    terms.append((sign, "".join(current)))
-    return terms
+        elif depth == 0 and ch in separators:
+            pieces.append((sep, text[start:i]))
+            sep, start = ch, i + 1
+    pieces.append((sep, text[start:]))
+    return pieces
 
 
 def _parse_term(term: str) -> tuple[Monomial, Eis]:
@@ -190,7 +172,7 @@ def _parse_term(term: str) -> tuple[Monomial, Eis]:
         raise ValueError("empty term in form literal")
     coef = Eis(1)
     expo = [0, 0, 0]
-    for factor in _split_factors(term):
+    for _, factor in _split_top(term, "*"):
         factor = factor.strip()
         if factor.startswith("("):
             if not factor.endswith(")"):
@@ -208,24 +190,6 @@ def _parse_term(term: str) -> tuple[Monomial, Eis]:
         else:
             coef = coef * Eis(Fraction(factor))
     return (expo[0], expo[1], expo[2]), coef
-
-
-def _split_factors(term: str):
-    factors = []
-    depth = 0
-    current = []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    factors.append("".join(current))
-    return factors
 
 
 class ProjPoint:
@@ -374,17 +338,17 @@ def fulton_mult(f: Form, g: Form, point: ProjPoint):
 
     Returns a nonnegative integer, or INFINITE when the curves share a
     component through the point.  Zero iff the point misses one of the
-    curves.
+    curves: the constant term of a translated polynomial is the curve's
+    value at the point scaled to x_chart = 1, and `_local_mult` tests it
+    first.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("intersection multiplicity needs curves of degree >= 1")
-    if f.evaluate(point) or g.evaluate(point):
-        return 0
     chart = max(i for i in range(3) if point.coords[i])
-    rest = [i for i in range(3) if i != chart]
     scale = point.coords[chart].inverse()
-    p = point.coords[rest[0]] * scale
-    q = point.coords[rest[1]] * scale
+    # the point in the chart's (u, v) coordinates, in index order as in
+    # dehomogenize
+    p, q = (c * scale for i, c in enumerate(point.coords) if i != chart)
     fa = _translate(dehomogenize(f, chart), p, q)
     ga = _translate(dehomogenize(g, chart), p, q)
     return _local_mult(fa, ga, f.degree * g.degree)

@@ -15,6 +15,17 @@ from trisect.torsion import (ETA, ORIGIN, THREE_TORSION, XI, Locus,
 
 # --- plane curves -----------------------------------------------------------
 
+def evaluate(form: Form, point: ProjPoint) -> Eis:
+    """The value of a form at the point's stored coordinates, monomial by
+    monomial: the incidence oracle, apart from the translation that
+    `fulton_mult` makes."""
+    coords = point.coords
+    total = Eis(0)
+    for (e0, e1, e2), c in form.coeffs.items():
+        total = total + c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2
+    return total
+
+
 def partial(form: Form, index: int) -> Form:
     """Derivative of a form in the variable x_index."""
     out = {}
@@ -29,7 +40,7 @@ def partial(form: Form, index: int) -> Form:
 def is_singular_at(curve: Form, point: ProjPoint) -> bool:
     """True when all three partials vanish at the point (by the Euler
     relation the curve itself then vanishes there too)."""
-    return all(not partial(curve, i).evaluate(point) for i in range(3))
+    return all(not evaluate(partial(curve, i), point) for i in range(3))
 
 
 def order_along(form: Form, p: ProjPoint, q: ProjPoint) -> int | None:

@@ -1,14 +1,15 @@
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trisect.curves import (INFINITE, Form, ProjPoint, fulton_mult,
                             line_intersection, linear_form, parse_form)
 from trisect.field import Eis, W
+from trisect.fixtures import load_entries
 
-from helpers import is_singular_at
+from helpers import evaluate, is_singular_at
 
 
 X0 = linear_form(1, 0, 0)
@@ -21,7 +22,7 @@ def test_form_basics():
     f = parse_form("x0^3 + (w)*x1^3 + (-1 - w)*x2^3")
     assert f.degree == 3
     assert f.coeffs[(0, 3, 0)] == W
-    assert f.evaluate(ProjPoint(1, 1, 1)) == Eis(0)
+    assert evaluate(f, ProjPoint(1, 1, 1)) == Eis(0)
     assert parse_form(str(f)) == f
     g = X0 * X1 - X1 * X0
     assert not g and g.degree == -1
@@ -35,9 +36,21 @@ def test_form_parse_round_trip_samples():
         "x0^2*x1 + (w)*x1^2*x2 + (-1 - w)*x2^2*x0",
         "2*x0^2 + (1/3)*x1*x2",
         "(-2)*x0 + x1",
+        "+x0",
+        "-x0^3 + 2*x1^3 + (w)*x2^3",
     ]
     for s in samples:
         f = parse_form(s)
+        assert parse_form(str(f)) == f
+
+
+def test_fixture_form_literals_round_trip():
+    # the ten cubics and the twelve triangle sides of the pencil fixture
+    literals = [part for _, value, _ in load_entries("hesse_fixtures.txt")
+                for part in value.split(";")]
+    assert len(literals) == 22
+    for text in literals:
+        f = parse_form(text)
         assert parse_form(str(f)) == f
 
 
@@ -49,6 +62,10 @@ def test_malformed_form_literals():
         "x3",               # unknown variable
         "x0^a",             # exponent that is not an integer
         "x0 + x1^2",        # terms of different degrees
+        "--x0",             # empty term between two signs
+        "x0 - - x1",        # the same inside the literal
+        "x0*",              # empty trailing factor
+        "*x0",              # empty leading factor
     ):
         with pytest.raises(ValueError):
             parse_form(bad)
@@ -163,21 +180,44 @@ def _through(form, point):
     the point) that cancels its value there."""
     k = next(i for i in range(3) if point.coords[i])
     mono = tuple(form.degree if i == k else 0 for i in range(3))
-    fix = form.evaluate(point) / point.coords[k] ** form.degree
+    fix = evaluate(form, point) / point.coords[k] ** form.degree
     return form - Form({mono: fix})
 
 
 _eis = st.builds(Eis, st.integers(-2, 2), st.integers(-2, 2))
-plane_curves = st.builds(_form, st.sampled_from((1, 2)),
-                         st.lists(_eis, min_size=6, max_size=6)).filter(bool)
+_coeffs = st.lists(_eis, min_size=6, max_size=6)
+plane_curves = st.builds(_form, st.sampled_from((1, 2)), _coeffs).filter(bool)
 points = st.tuples(*[st.sampled_from((0, 1, -1, 2, W, -1 - W))] * 3).filter(
     any).map(lambda cs: ProjPoint(*cs))
 
 
 @given(plane_curves, plane_curves, points, st.booleans(), st.booleans())
 def test_mult_positive_iff_common_point(f, g, p, f_through, g_through):
+    # two routes to incidence: the value of each form at p, and the constant
+    # terms that fulton_mult reads after translating p to the origin
     f = _through(f, p) if f_through else f
     g = _through(g, p) if g_through else g
     assume(f and g)
-    missed = bool(f.evaluate(p) or g.evaluate(p))
+    missed = bool(evaluate(f, p) or evaluate(g, p))
     assert (fulton_mult(f, g, p) == 0) == missed
+
+
+@settings(max_examples=60)
+@given(plane_curves, plane_curves, st.sampled_from((0, 1)), points,
+       st.sampled_from(("shared", "through", "drawn")), st.data())
+def test_mult_is_unchanged_by_adding_a_multiple(f, g, extra, p, kind, data):
+    # Fulton's property (7): I_p(F, G) = I_p(F, G + A*F) for every form A of
+    # degree deg G - deg F.  F passes through p.  G is F times a form of
+    # degree `extra` (a shared component: INFINITE), a curve moved through
+    # p, or a curve as drawn, which mostly misses p.
+    f = _through(f, p)
+    assume(f)
+    if kind == "shared":
+        g = f * data.draw(st.builds(_form, st.just(extra), _coeffs))
+    elif kind == "through":
+        g = _through(g, p)
+    assume(g and g.degree >= f.degree)
+    a = data.draw(st.builds(_form, st.just(g.degree - f.degree), _coeffs))
+    h = g + a * f
+    assume(h)
+    assert fulton_mult(f, h, p) == fulton_mult(f, g, p)

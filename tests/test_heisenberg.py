@@ -13,8 +13,8 @@ from trisect.heisenberg import (CHARACTERS, DEGREE3_MONOMIALS, NONZERO_CHARS,
                                 verify_vertex_containment)
 from trisect.report import run_checks
 
-from helpers import (base_points, in_pencil, is_singular_at, order_along,
-                     pencil_generators)
+from helpers import (base_points, evaluate, in_pencil, is_singular_at,
+                     order_along, pencil_generators)
 
 X0 = parse_form("x0")
 X1 = parse_form("x1")
@@ -84,14 +84,14 @@ def test_base_points_lie_on_every_pencil_member():
     assert len(set(pts)) == 9
     f0, f_inf = pencil_generators()
     for p in pts:
-        assert not f0.evaluate(p) and not f_inf.evaluate(p)
+        assert not evaluate(f0, p) and not evaluate(f_inf, p)
 
 
 def test_each_triangle_side_carries_three_base_points():
     pts = base_points()
     for tri in triangles().values():
         for side in tri.factors:
-            assert sum(1 for p in pts if not side.evaluate(p)) == 3
+            assert sum(1 for p in pts if not evaluate(side, p)) == 3
 
 
 def test_vertex_containment_claims():
@@ -103,7 +103,7 @@ def test_vertex_containment_claims():
             vertices = triangles()[tri].vertices
             # a vertex has multiplicity zero exactly when it misses the cubic
             assert [m == 0 for m in mults] == [
-                bool(eigen[char][0].evaluate(v)) for v in vertices]
+                bool(evaluate(eigen[char][0], v)) for v in vertices]
             if contains_vertices(char, tri):
                 contained += 1
                 assert mults == (3, 3, 3)
@@ -128,6 +128,21 @@ def test_each_row_makes_its_own_multiplicity_calls(monkeypatch):
         assert result.status == "PASS"
         family = check.check_id.split("-")[0]
         assert len(calls) - before == {"vertex": 3, "pair": 12}.get(family, 0)
+
+
+def test_pair_row_reports_a_mixed_entry(monkeypatch):
+    # a wrong value: the three vertices of one triangle disagree, so the row
+    # fails and prints that triangle's three multiplicities, not one
+    def mixed(c1, c2):
+        return tuple((cls, (1, 2, 1) if cls == (1, 1) else mults)
+                     for cls, mults in verify_pencil_pairs(c1, c2))
+    monkeypatch.setattr("trisect.checks.verify_pencil_pairs", mixed)
+    (check,) = [c for c in build_checks(("heisenberg",))
+                if c.check_id == "pair-01-10"]
+    (result,) = run_checks([check], 24).results
+    assert result.status == "FAIL"
+    assert result.expected == "T(1, 1)*1 + T(1, 2)*2 ; total 9"
+    assert result.actual == "T(1, 1)*(1, 2, 1) + T(1, 2)*2 ; total 10"
 
 
 def test_vertex_multiplicities_add_up_along_the_sides():
@@ -183,9 +198,11 @@ def test_pencil_pair_claims():
 
 def test_multiplication_count_of_the_heisenberg_instances(monkeypatch):
     # Eis products made by the 32 vertex and 28 pair instances, with the
-    # fixtures parsed beforehand.  The count is deterministic; evaluating
-    # the cubic at the vertices besides taking the multiplicities raises it
-    # to 64,332.
+    # fixtures parsed beforehand.  The count is deterministic.  fulton_mult
+    # reads incidence from the translated constant terms and evaluates no
+    # form first: the 252 calls at a common point save two evaluations
+    # each, and the 180 calls at a vertex that misses a cubic pay for two
+    # translations.
     printed_eigencubics()
     triangles()
     calls = 0
@@ -202,7 +219,7 @@ def test_multiplication_count_of_the_heisenberg_instances(monkeypatch):
             verify_vertex_containment(char, tri)
     for c1, c2 in combinations(NONZERO_CHARS, 2):
         verify_pencil_pairs(c1, c2)
-    assert calls == 62_472
+    assert calls == 63_705
 
 
 def test_pair_pattern_worked_example():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from trisect.checks import build_checks, run_verify
 from trisect.report import run_checks
-from trisect.torsion import (CLASS_REPS, DEFAULT_LEVEL, ETA, ORIGIN,
-                             THREE_TORSION, XI, AffineMap,
+from trisect.torsion import (CLASS_REPS, CURVE1, DEFAULT_LEVEL, ETA,
+                             ORIGIN, THREE_TORSION, XI, AffineMap,
                              InsufficientLevelError, Locus, TorsionPt, Triple,
                              check_level, common_fibre_classes,
                              contains_locus, curve_locus, curve_triples,
@@ -435,6 +435,25 @@ def test_each_base_point_row_runs_its_own_enumeration(monkeypatch):
         assert result.status == "PASS"
         assert levels[before:] == (
             [24, 48] if check.check_id == "level-stability" else [24])
+
+
+def test_boundary_row_reports_a_three_anchor_hit(monkeypatch):
+    # a wrong value: every fibre curve accepts the candidate triple of its
+    # three boundary anchors.  Of the 56 three-anchor terms, those whose five
+    # fibrations share a fibre class then keep one triple each, and the row
+    # fails with the count it saw
+    met = sum(1 for xs in combinations(THREE_TORSION, 5)
+              if common_fibre_classes(xs))
+    assert met == 24
+
+    def accepting(locus, triple):
+        return locus.kind == CURVE1 or member(locus, triple)
+    monkeypatch.setattr("trisect.torsion.member", accepting)
+    (check,) = [c for c in build_checks(("torsion",))
+                if c.check_id == "boundary-terms-empty"]
+    (result,) = run_checks([check], 24).results
+    assert result.status == "FAIL"
+    assert (result.expected, result.actual) == ((56, 0), (56, met))
 
 
 # --- property tests ----------------------------------------------------------
