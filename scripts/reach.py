@@ -43,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # `eval` statements: the README's four examples, then the other pairs of a
 # head and a context, one of them opening with a minus sign as the grammar
-# allows.  A head that is undefined on its context is a usage error (exit
+# allows and one with a parenthesised number.  A head that is undefined on its context is a usage error (exit
 # 2), which is part of the traffic too.
 EVALS = (
     ("chi E(3): 4D - F", 0),
@@ -55,7 +55,7 @@ EVALS = (
     ("chi E(2): -f + 4h", 0),
     ("triple E(2): h*f*f", 2),
     ("genus E(2): K + (4h - f)", 0),
-    ("pair F2: (2C0 + 7L)*(2C0 + 7L) - 14", 0),
+    ("pair F2: (2C0 + 7L)*(2C0 + 7L) - 2*(3 + 4)", 0),
     ("triple F2: C0*L*L", 2),
     ("genus F2: 2C0 + 7L", 0),
 )
@@ -81,7 +81,7 @@ ALLOWED = (
     ("curves.ProjPoint", "README library map: projective points", ()),
     ("curves._parse_term",
      "README library map: a form literal with a plain number, as Form prints",
-     ("coef = coef * Eis(Fraction(factor))",)),
+     ("coef = coef * Eis(parse_rational(factor))",)),
     ("torsion.Locus", "README library map: loci print as their labels",
      ("return self.label",)),
     ("torsion.intersect_loci",

@@ -20,6 +20,7 @@ from .fixtures import load_entries
 from .rings import (
     FIBRE_CLASS_CURVE,
     ObstructionCertificate,
+    RankTwoSurface,
     certify,
     gram_matrix,
     noether_invariants,
@@ -70,28 +71,30 @@ def _same_surface(d1: FeClass, d2: FeClass) -> None:
         raise MixedSurfaceError(f"classes live on F{d1.e} and F{d2.e}")
 
 
+def hirzebruch(e: int) -> RankTwoSurface:
+    """The Hirzebruch surface of index e on C0 and L: C0^2 = -e, C0.L = 1,
+    L^2 = 0, K = -2 C0 - (e + 2) L, and chi(O) = 1 as on every rational
+    surface."""
+    return RankTwoSurface(((-e, 1), (1, 0)), (-2, -(e + 2)), 1)
+
+
 def fe_pair(d1: FeClass, d2: FeClass) -> int:
-    """Intersection pairing: C0^2 = -e, C0.L = 1, L^2 = 0."""
     _same_surface(d1, d2)
-    return -d1.e * d1.c0 * d2.c0 + d1.c0 * d2.l + d2.c0 * d1.l
+    return hirzebruch(d1.e).pair((d1.c0, d1.l), (d2.c0, d2.l))
 
 
 def fe_canonical(e: int) -> FeClass:
-    return FeClass(e, -2, -(e + 2))
+    return FeClass(e, *hirzebruch(e).canonical)
 
 
 def fe_chi(d: FeClass) -> int:
-    """Euler characteristic of O(d) by Riemann-Roch."""
-    twice = fe_pair(d, d - fe_canonical(d.e))
-    certify(twice % 2 == 0, "Riemann-Roch parity")
-    return 1 + twice // 2
+    """Euler characteristic of O(d)."""
+    return hirzebruch(d.e).chi((d.c0, d.l))
 
 
 def fe_genus(d: FeClass) -> int:
     """Arithmetic genus of a curve in the class d."""
-    twice = fe_pair(d, d + fe_canonical(d.e))
-    certify(twice % 2 == 0, "adjunction parity")
-    return 1 + twice // 2
+    return hirzebruch(d.e).genus((d.c0, d.l))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ point yields the `INFINITE` sentinel, never a wrong integer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .field import Eis, parse_eis
+from .field import Eis, parse_eis, parse_rational
 
 Monomial = tuple[int, int, int]
 
@@ -188,7 +187,7 @@ def _parse_term(term: str) -> tuple[Monomial, Eis]:
                 raise ValueError(f"unknown variable {name!r}")
             expo[VAR_NAMES.index(name)] += power
         else:
-            coef = coef * Eis(Fraction(factor))
+            coef = coef * Eis(parse_rational(factor))
     return (expo[0], expo[1], expo[2]), coef
 
 

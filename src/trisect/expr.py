@@ -23,17 +23,12 @@ expression already multiplied out to a number.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
-from .covers import FeClass, fe_canonical, fe_chi, fe_genus, fe_pair
-from .rings import (
-    E2_CANONICAL,
-    E3_CANONICAL,
-    chi_symmetric_power,
-    genus_e2,
-    pair_e2,
-    triple_product_e3,
-)
+from .covers import hirzebruch
+from .rings import (E2, E3_CANONICAL, chi_e2, chi_symmetric_power,
+                    triple_product_e3)
 
 
 class DslError(ValueError):
@@ -66,14 +61,12 @@ class Scaled(NamedTuple):
 
 
 class Term(NamedTuple):
-    factors: tuple
+    factors: tuple   # of Lit, Sym, Scaled or Sum
 
 
 class Sum(NamedTuple):
     terms: tuple   # of (sign, Term) with sign '+' or '-'
 
-
-Factor = Union[Lit, Sym, Scaled, Sum]
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +89,19 @@ class _Context(NamedTuple):
 _E3 = _Context("E(3)", {"D": (1, 0), "F": (0, 1), "K": E3_CANONICAL},
                chi=lambda c: chi_symmetric_power(3, *c), pair=None,
                triple=triple_product_e3, genus=None)
-_E2 = _Context("E(2)", {"h": (1, 0), "f": (0, 1), "K": E2_CANONICAL},
-               chi=lambda c: chi_symmetric_power(2, *c), pair=pair_e2,
-               triple=None, genus=genus_e2)
+_E2 = _Context("E(2)", {"h": (1, 0), "f": (0, 1), "K": E2.canonical},
+               chi=chi_e2, pair=E2.pair, triple=None, genus=E2.genus)
 _FIXED_CONTEXTS = {ctx.name: ctx for ctx in (_E3, _E2)}
 
 
+@lru_cache(maxsize=64)
 def _fe_context(name: str) -> _Context:
-    """The Hirzebruch surface F<e>: a pair becomes an `FeClass` only where a
-    number is read off it."""
-    e = _integer(name[1:])
-    canonical = fe_canonical(e)
+    """The Hirzebruch surface F<e>, with the quantities of its rank-two
+    row."""
+    surface = hirzebruch(_integer(name[1:]))
     return _Context(
-        name, {"C0": (1, 0), "L": (0, 1), "K": (canonical.c0, canonical.l)},
-        lambda c: fe_chi(FeClass(e, *c)),
-        lambda c1, c2: fe_pair(FeClass(e, *c1), FeClass(e, *c2)),
-        None,   # no triple product
-        lambda c: fe_genus(FeClass(e, *c)))
+        name, {"C0": (1, 0), "L": (0, 1), "K": surface.canonical},
+        surface.chi, surface.pair, None, surface.genus)
 
 
 # a head names the quantity of the row it reads
@@ -130,8 +119,8 @@ class Statement(NamedTuple):
 
     def evaluate(self) -> tuple:
         ctx = _FIXED_CONTEXTS.get(self.context) or _fe_context(self.context)
-        return tuple(_apply_head(self.head, ctx, _eval_sum_value(e, ctx))
-                     for e in self.exprs)
+        return tuple([_apply_head(self.head, ctx, _eval_sum(e, ctx))
+                      for e in self.exprs])
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +129,21 @@ class Statement(NamedTuple):
 
 # a symbol is letters with an optional index, as C0; the context's classes
 # say which symbols it knows
-_TOKEN = re.compile(r"\s*([A-Za-z]+\d*|\d+|[-+*(),])")
+_TOKEN = re.compile(r"[A-Za-z]+\d*|\d+|[-+*(),]")
+# a character that is no whitespace and starts no token; \d is any decimal
+# digit here as in _TOKEN, so a number may be written as '٣'
+_STRAY = re.compile(r"[^\sA-Za-z\d+*(),-]")
 
-# Each nesting level costs the parser and the evaluator three stack frames,
+# Each nesting level costs the parser one stack frame and the evaluator two,
 # so this bound keeps both well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    text = text.rstrip()
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    stray = _STRAY.search(text)
+    if stray is not None:
+        raise ParseError(f"unexpected character {stray.group()!r}")
+    return _TOKEN.findall(text)
 
 
 def _integer(digits: str) -> int:
@@ -169,72 +155,49 @@ def _integer(digits: str) -> int:
         raise ParseError(f"integer of {len(digits)} digits is too long") from None
 
 
-class _Parser:
-    def __init__(self, tokens, symbols):
-        self.tokens = tokens + [None]   # None marks the end
-        self.symbols = symbols
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        token = self.tokens[self.pos]
-        if token is None:
-            raise ParseError("unexpected end of statement")
-        self.pos += 1
-        return token
-
-    def parse_exprs(self) -> tuple:
-        exprs = [self.parse_sum()]
-        while self.peek() == ",":
-            self.take()
-            exprs.append(self.parse_sum())
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at {self.peek()!r}")
-        return tuple(exprs)
-
-    def parse_sum(self) -> Sum:
-        sign = "+"
-        if self.peek() == "-":
-            self.take()
-            sign = "-"
-        terms = [(sign, self.parse_term())]
-        while self.peek() in ("+", "-"):
-            sign = self.take()
-            terms.append((sign, self.parse_term()))
-        return Sum(tuple(terms))
-
-    def parse_term(self) -> Term:
-        factors = [self.parse_factor()]
-        while self.peek() == "*":
-            self.take()
-            factors.append(self.parse_factor())
-        return Term(tuple(factors))
-
-    def parse_factor(self) -> Factor:
-        token = self.take()
-        if token == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}")
-            self.depth += 1
-            inner = self.parse_sum()
-            self.depth -= 1
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
-            return inner
-        if token.isdigit():
-            if self.peek() in self.symbols:
-                return Scaled(_integer(token), self.take())
-            return Lit(_integer(token))
-        if token in self.symbols:
-            return Sym(token)
-        raise ParseError(f"unexpected token {token!r}")
+def _parse_sum(tokens: list, i: int, symbols: dict, depth: int) -> tuple:
+    """The sum that starts at tokens[i], and the index of the token after
+    it.  `symbols` maps each symbol of the context to its one Sym node."""
+    sign = "+"
+    if tokens[i] == "-":
+        sign, i = "-", i + 1
+    terms, factors = [], []
+    while True:
+        token = tokens[i]
+        i += 1
+        factor = symbols.get(token)
+        if factor is None:
+            if token is None:
+                raise ParseError("unexpected end of statement")
+            if token == "(":
+                if depth == MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nest deeper than {MAX_NESTING}")
+                factor, i = _parse_sum(tokens, i, symbols, depth + 1)
+                if tokens[i] != ")":
+                    raise ParseError("missing closing parenthesis" if tokens[i]
+                                     else "unexpected end of statement")
+                i += 1
+            elif not token.isdigit():
+                raise ParseError(f"unexpected token {token!r}")
+            elif tokens[i] in symbols:
+                factor, i = Scaled(_integer(token), tokens[i]), i + 1
+            else:
+                factor = Lit(_integer(token))
+        factors.append(factor)
+        op = tokens[i]
+        if op == "*":
+            i += 1
+            continue
+        terms.append((sign, Term(tuple(factors))))
+        if op != "+" and op != "-":
+            return Sum(tuple(terms)), i
+        sign, factors, i = op, [], i + 1
 
 
 # the parser reads only a context's symbols, and every F<e> has those of F0
-_F0 = _fe_context("F0")
+_SYMBOLS = {ctx.name: {name: Sym(name) for name in ctx.classes}
+            for ctx in (_E3, _E2, _fe_context("F0"))}
 
 
 def parse_statement(text: str) -> Statement:
@@ -247,60 +210,68 @@ def parse_statement(text: str) -> Statement:
     tokens = _tokenize(rest)
     if not tokens:
         raise ParseError("statement has no expression")
-    parser = _Parser(tokens, _FIXED_CONTEXTS.get(context, _F0).classes)
-    return Statement(head, context, parser.parse_exprs())
+    tokens.append(None)   # marks the end
+    symbols = _SYMBOLS.get(context) or _SYMBOLS["F0"]
+    expr, i = _parse_sum(tokens, 0, symbols, 0)
+    exprs = [expr]
+    while tokens[i] == ",":
+        expr, i = _parse_sum(tokens, i + 1, symbols, 0)
+        exprs.append(expr)
+    if tokens[i] is not None:
+        raise ParseError(f"trailing input at {tokens[i]!r}")
+    return Statement(head, context, tuple(exprs))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _scale(scalar: int, cls) -> tuple:
-    return (scalar * cls[0], scalar * cls[1])
-
-
 # A value is an int (a number) or an (a, b) tuple (a class).
 
-def _eval_factor(factor: Factor, ctx: _Context):
-    if isinstance(factor, Lit):
-        return factor.value
-    if isinstance(factor, Sym):
-        return ctx.classes[factor.name]
-    if isinstance(factor, Scaled):
-        return _scale(factor.value, ctx.classes[factor.name])
-    return _eval_sum_value(factor, ctx)
-
-
 def _eval_term(term: Term, ctx: _Context):
+    # the products are multilinear, so a scaled symbol's multiplier joins
+    # the scalar
     scalar = 1
-    classes = []
+    found = []
+    classes = ctx.classes
     for factor in term.factors:
-        value = _eval_factor(factor, ctx)
-        if isinstance(value, tuple):
-            classes.append(value)
+        kind = type(factor)
+        if kind is Sym:
+            found.append(classes[factor.name])
+        elif kind is Scaled:
+            scalar *= factor.value
+            found.append(classes[factor.name])
+        elif kind is Lit:
+            scalar *= factor.value
         else:
-            scalar *= value
-    if not classes:
+            value = _eval_sum(factor, ctx)
+            if type(value) is tuple:
+                found.append(value)
+            else:
+                scalar *= value
+    count = len(found)
+    if count == 1:
+        a, b = found[0]
+        return (scalar * a, scalar * b)
+    if not count:
         return scalar
-    if len(classes) == 1:
-        return _scale(scalar, classes[0])
-    product = {2: ctx.pair, 3: ctx.triple}.get(len(classes))
+    product = ctx.pair if count == 2 else ctx.triple if count == 3 else None
     if product is None:
         raise SemanticError(
-            f"a product of {len(classes)} classes is not a number on {ctx.name}")
-    return scalar * product(*classes)
+            f"a product of {count} classes is not a number on {ctx.name}")
+    return scalar * product(*found)
 
 
-def _eval_sum_value(expr: Sum, ctx: _Context):
+def _eval_sum(expr: Sum, ctx: _Context):
     total = None
     for sign, term in expr.terms:
         value = _eval_term(term, ctx)
-        is_class = isinstance(value, tuple)
+        is_class = type(value) is tuple
         if sign == "-":
-            value = _scale(-1, value) if is_class else -value
+            value = (-value[0], -value[1]) if is_class else -value
         if total is None:
             total = value
-        elif is_class != isinstance(total, tuple):
+        elif is_class != (type(total) is tuple):
             raise SemanticError("cannot add a number to a divisor class")
         elif is_class:
             total = (total[0] + value[0], total[1] + value[1])

@@ -148,6 +148,15 @@ def w_pow(k: int) -> Eis:
     return _W_POWERS[k % 3]
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational literal such as '-3/4'; a zero denominator is as malformed
+    as any other bad literal, so it raises ValueError too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_eis(text: str) -> Eis:
     """Inverse of str(): accepts e.g. '0', '-2 + w', '1/3 - 5·w', '2*w'."""
     s = text.replace(" ", "")
@@ -166,9 +175,9 @@ def parse_eis(text: str) -> Eis:
         if body == "w":
             b += sign
         elif body.endswith(("·w", "*w")):
-            b += sign * Fraction(body[:-2])
+            b += sign * parse_rational(body[:-2])
         else:
-            a += sign * Fraction(body)
+            a += sign * parse_rational(body)
     if pos != len(s):
         raise ValueError(f"cannot parse Q(w) literal {text!r}")
     return Eis(a, b)

@@ -59,9 +59,9 @@ def chi_symmetric_power(n: int, a: int, b: int) -> int:
     num = a + n * b
     for i in range(1, n):
         num *= a + i
-    value = Fraction(num, factorial(n))
-    certify(value.denominator == 1, "integral Euler characteristic")
-    return int(value)
+    value, remainder = divmod(num, factorial(n))
+    certify(remainder == 0, "integral Euler characteristic")
+    return value
 
 
 class CohomologyCase(Enum):
@@ -104,26 +104,53 @@ TWO_TORSION_LINE = CurveNumbers(1, 2)    # the lines through a two-torsion point
 
 
 # ---------------------------------------------------------------------------
+# Surfaces of Picard rank two
+# ---------------------------------------------------------------------------
+
+class RankTwoSurface(NamedTuple):
+    """The numerics of a surface on two generating divisor classes: the Gram
+    matrix of the intersection pairing on them, the canonical class and
+    chi(O).  Riemann-Roch and adjunction give the rest (Hartshorne V.1)."""
+
+    gram: tuple[Class2, Class2]
+    canonical: Class2
+    chi_o: int
+
+    def pair(self, c1: Class2, c2: Class2) -> int:
+        (g00, g01), (g10, g11) = self.gram
+        (a1, b1), (a2, b2) = c1, c2
+        return a1 * (g00 * a2 + g01 * b2) + b1 * (g10 * a2 + g11 * b2)
+
+    def chi(self, cls: Class2) -> int:
+        """chi(O(D)) = chi(O) + D.(D - K)/2, by Riemann-Roch."""
+        (a, b), (k0, k1) = cls, self.canonical
+        twice = self.pair(cls, (a - k0, b - k1))
+        certify(twice % 2 == 0, "Riemann-Roch parity")
+        return self.chi_o + twice // 2
+
+    def genus(self, cls: Class2) -> int:
+        """Arithmetic genus of a curve in the class: 1 + D.(D + K)/2, by
+        adjunction."""
+        (a, b), (k0, k1) = cls, self.canonical
+        twice = self.pair(cls, (a + k0, b + k1))
+        certify(twice % 2 == 0, "adjunction parity")
+        return 1 + twice // 2
+
+
+# ---------------------------------------------------------------------------
 # Second symmetric product
 # ---------------------------------------------------------------------------
 
 E2_CANONICAL: Class2 = (-2, 1)   # K = -2 h + f
-
-
-def pair_e2(c1: Class2, c2: Class2) -> int:
-    (a1, b1), (a2, b2) = c1, c2
-    return a1 * a2 + a1 * b2 + a2 * b1
-
-
-def genus_e2(cls: Class2) -> int:
-    """Arithmetic genus of a curve class on the second symmetric product."""
-    twice = pair_e2(cls, cls) + pair_e2(cls, E2_CANONICAL)
-    if twice % 2:
-        raise ArithmeticError(f"adjunction parity fails for {cls}")
-    return 1 + twice // 2
+# h^2 = 1, h.f = 1, f^2 = 0, and chi(O) = 1 - q + p_g = 0
+E2 = RankTwoSurface(((1, 1), (1, 0)), E2_CANONICAL, 0)
+pair_e2 = E2.pair
+genus_e2 = E2.genus
 
 
 def chi_e2(cls: Class2) -> int:
+    """Euler characteristic as on every symmetric product; E2.chi, by
+    Riemann-Roch, agrees."""
     return chi_symmetric_power(2, cls[0], cls[1])
 
 

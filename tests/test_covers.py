@@ -28,6 +28,7 @@ from trisect.covers import (
     fe_chi,
     fe_genus,
     fe_pair,
+    hirzebruch,
     solve_cover_constraints,
     verify_branch_table,
     verify_cover_constraints,
@@ -60,6 +61,28 @@ def test_fe_chi_and_genus():
     assert fe_genus(FeClass(2, 2, 5)) == 2
     assert fe_genus(FeClass(2, 0, 1)) == 0
     assert fe_genus(FeClass(2, 1, 0)) == 0
+
+
+def test_fe_numbers_on_f0_to_f4_are_pinned():
+    # closed forms on F_e, for a*C0 + b*L: the pairing -e*a*a' + a*b' + a'*b,
+    # chi = (a + 1)(b + 1) - e*a(a + 1)/2 and p_a = (a - 1)(b - 1) -
+    # e*a(a - 1)/2; fe_* and the rank-two row both give them
+    grid = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    for e in range(5):
+        surface = hirzebruch(e)
+        for a, b in grid:
+            d = FeClass(e, a, b)
+            chi = (a + 1) * (b + 1) - e * a * (a + 1) // 2
+            genus = (a - 1) * (b - 1) - e * a * (a - 1) // 2
+            assert fe_chi(d) == surface.chi((a, b)) == chi
+            assert fe_genus(d) == surface.genus((a, b)) == genus
+            for a2, b2 in ((1, 0), (0, 1), (-2, 5), (3, -4)):
+                pair = -e * a * a2 + a * b2 + a2 * b
+                assert fe_pair(d, FeClass(e, a2, b2)) == pair
+                assert surface.pair((a, b), (a2, b2)) == pair
+        assert (fe_canonical(e).c0, fe_canonical(e).l) == surface.canonical
+    assert [fe_chi(FeClass(e, 2, 3)) for e in range(5)] == [12, 9, 6, 3, 0]
+    assert [fe_genus(FeClass(e, 3, 4)) for e in range(5)] == [6, 3, 0, -3, -6]
 
 
 @given(st.integers(0, 4), st.tuples(st.integers(-8, 8), st.integers(-8, 8)),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from trisect.curves import (INFINITE, Form, ProjPoint, fulton_mult,
                             line_intersection, linear_form, parse_form)
-from trisect.field import Eis, W
+from trisect.field import Eis, W, rref
 from trisect.fixtures import load_entries
 
 from helpers import evaluate, is_singular_at
@@ -66,6 +66,9 @@ def test_malformed_form_literals():
         "x0 - - x1",        # the same inside the literal
         "x0*",              # empty trailing factor
         "*x0",              # empty leading factor
+        "(1/0)*x0",         # zero denominators, in a Q(w) coefficient
+        "1/0*x0",           # and in a plain number
+        "(1 + 3/0·w)*x0",
     ):
         with pytest.raises(ValueError):
             parse_form(bad)
@@ -221,3 +224,45 @@ def test_mult_is_unchanged_by_adding_a_multiple(f, g, extra, p, kind, data):
     h = g + a * f
     assume(h)
     assert fulton_mult(f, h, p) == fulton_mult(f, g, p)
+
+
+def _substitute(form, matrix):
+    """form(M x): x_i becomes the linear form on row i of M."""
+    rows = [linear_form(*row) for row in matrix]
+    out = Form({})
+    for mono, c in form.coeffs.items():
+        term = Form({(0, 0, 0): c})
+        for row, e in zip(rows, mono):
+            for _ in range(e):
+                term = term * row
+        out = out + term
+    return out
+
+
+_CHART_ORIGINS = tuple(ProjPoint(*(int(i == k) for i in range(3)))
+                       for k in range(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_curves, plane_curves, st.lists(_eis, min_size=9, max_size=9),
+       st.one_of(st.sampled_from(_CHART_ORIGINS), points),
+       st.sampled_from(("shared", "through", "drawn")), st.data())
+def test_mult_is_unchanged_by_a_change_of_coordinates(f, g, entries, p, kind,
+                                                       data):
+    # Fulton's property (3): I_p(F, G) = I_q(F(Mx), G(Mx)) with M q = p, for
+    # every invertible M over Q(w).  F passes through p; G shares a
+    # component with F (INFINITE), is moved through p, or is as drawn.
+    # Points at a chart origin put the translation's sign to the test.
+    matrix = [entries[3 * i:3 * i + 3] for i in range(3)]
+    assume(len(rref(matrix)) == 3)
+    f = _through(f, p)
+    assume(f)
+    if kind == "shared":
+        g = f * data.draw(st.builds(_form, st.just(1), _coeffs))
+    elif kind == "through":
+        g = _through(g, p)
+    assume(g)
+    solved = rref([row + [c] for row, c in zip(matrix, p.coords)])
+    q = ProjPoint(*(row[3] for row in solved))
+    assert fulton_mult(_substitute(f, matrix), _substitute(g, matrix), q) == (
+        fulton_mult(f, g, p))

@@ -114,7 +114,7 @@ def test_parse_variants_and_errors():
     assert parse_eis("2*w") == Eis(0, 2)
     assert parse_eis(" -1-w ") == Eis(-1, -1)
     assert parse_eis("w+w") == Eis(0, 2)
-    for bad in ("", "z", "1 +", "w w"):
+    for bad in ("", "z", "1 +", "w w", "7516/0", "1 + 3/0·w"):
         with pytest.raises(ValueError):
             parse_eis(bad)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trisect.field import Eis, W, rref
 from trisect.rings import (
+    E2,
     E2_CANONICAL,
     E3_BOUNDARY,
     E3_CANONICAL,
@@ -165,6 +166,15 @@ def test_genus_and_chi_on_second_product():
     assert genus_e2((4, -1)) == 4
     assert chi_e2((4, -1)) == 5
     assert pair_e2((4, -2), (0, 1)) == 4
+
+
+def test_riemann_roch_on_the_e2_row_matches_the_symmetric_power():
+    # chi(O) + D.(D - K)/2 with chi(O) = 0, a second route to chi on E(2)
+    assert E2.chi_o == 0
+    grid = [(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    assert len(grid) == 289
+    for a, b in grid:
+        assert E2.chi((a, b)) == chi_symmetric_power(2, a, b) == chi_e2((a, b))
 
 
 def test_e2_class_literals_round_trip():
